@@ -1,166 +1,66 @@
-"""Hot integer kernels with numba-jitted and pure-numpy implementations.
+"""Exact integer kernels of the orthogonal-frame scan.
 
-The jitted path is the default; set DELPEZZO_NO_NUMBA=1 before import to
-select the numpy fallback (used by the benchmark and as a safety hatch).
-Both paths are exact integer/bit computations and return identical results.
+`enumerate_cliques` walks cliques with Python ints as vertex bitsets;
+`fixed_counts` counts shared mask positions per frame with numpy.
 """
 
 from __future__ import annotations
 
-import os
+from array import array
 
 import numpy as np
 
-_DISABLED = os.environ.get("DELPEZZO_NO_NUMBA", "").lower() in ("1", "true", "yes")
 
-HAS_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
+def enumerate_cliques(adj: np.ndarray, k: int, cap: int):
+    """k-cliques of the graph given by boolean matrix adj, capped at cap rows.
 
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAS_NUMBA = False
+    Returns (frames, truncated); frames has shape (m, k) with m <= cap,
+    each row in increasing vertex order and the rows in lexicographic
+    order.  truncated is True once cap rows have been found, so a capped
+    scan returns the lexicographic prefix of the full one.
+    """
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.int32), False
+    upper = np.triu(np.asarray(adj, dtype=bool), 1)
+    # nbr[v]: bitset of the neighbours of v with a higher index
+    nbr = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in upper]
+    flat = array("i")  # the frames found so far, row after row
+    full = cap * k
+    last = k - 1
+
+    def rec(chosen: tuple[int, ...], cands: int) -> bool:
+        """Extend chosen by the vertices of cands in order; True once capped."""
+        depth = len(chosen)
+        while cands.bit_count() > last - depth:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            if depth == last:
+                flat.extend(chosen)
+                flat.append(v)
+                if len(flat) >= full:
+                    return True
+            elif rec(chosen + (v,), cands & nbr[v]):
+                return True
+        return False
+
+    truncated = rec((), (1 << upper.shape[0]) - 1)
+    return np.array(flat, dtype=np.int32).reshape(-1, k), truncated
 
 
-def _enumerate_cliques_py(adj: np.ndarray, k: int, cap: int):
-    """All k-subsets of pairwise-adjacent vertices, in lexicographic order."""
-    n = adj.shape[0]
-    frames: list[list[int]] = []
-    truncated = False
+def fixed_counts(zero_masks: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Per frame, count the mask positions shared by every row of the frame.
 
-    def rec(chosen: list[int], cands: np.ndarray):
-        nonlocal truncated
-        if truncated:
-            return
-        if len(chosen) == k:
-            frames.append(list(chosen))
-            if len(frames) >= cap:
-                truncated = True
-            return
-        for i in range(len(cands)):
-            if truncated:
-                return
-            v = int(cands[i])
-            rest = cands[i + 1 :]
-            rec(chosen + [v], rest[adj[v, rest].astype(bool)])
-
-    rec([], np.arange(n, dtype=np.int32))
-    out = np.array(frames, dtype=np.int32).reshape(len(frames), k)
-    return out, truncated
-
-
-def _fixed_counts_py(zero_masks: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """zero_masks: (n_roots, n_lines) bool; frames: (m, k) int32.
-
-    Entry f counts lines orthogonal to every root of frame f.
+    zero_masks: (n_rows, n_positions) bool; frames: (m, k) int32.
     """
     m = frames.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
+    if frames.shape[1] == 0:
+        return np.full(m, zero_masks.shape[1], dtype=np.int64)
     out = np.empty(m, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(1, zero_masks.shape[1] * frames.shape[1]))
     for start in range(0, m, chunk):
         sel = zero_masks[frames[start : start + chunk]]
         out[start : start + chunk] = sel.all(axis=1).sum(axis=1)
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _enumerate_cliques_nb(adj, k, cap):  # pragma: no cover - jitted
-        n = adj.shape[0]
-        cand = np.empty((k, n), np.int32)
-        cand_len = np.empty(k, np.int64)
-        ptr = np.empty(k, np.int64)
-        chosen = np.empty(k, np.int32)
-        for i in range(n):
-            cand[0, i] = i
-        cand_len[0] = n
-        ptr[0] = 0
-        out = np.empty((cap, k), np.int32)
-        count = 0
-        truncated = False
-        level = 0
-        while level >= 0:
-            if ptr[level] >= cand_len[level]:
-                level -= 1
-                continue
-            v = cand[level, ptr[level]]
-            ptr[level] += 1
-            chosen[level] = v
-            if level == k - 1:
-                if count >= cap:
-                    truncated = True
-                    break
-                for j in range(k):
-                    out[count, j] = chosen[j]
-                count += 1
-            else:
-                m = 0
-                for idx in range(ptr[level], cand_len[level]):
-                    u = cand[level, idx]
-                    if adj[v, u]:
-                        cand[level + 1, m] = u
-                        m += 1
-                cand_len[level + 1] = m
-                ptr[level + 1] = 0
-                level += 1
-        return out[:count], truncated
-
-    @njit(cache=True)
-    def _fixed_counts_nb(packed, frames):  # pragma: no cover - jitted
-        m, k = frames.shape
-        words = packed.shape[1]
-        out = np.empty(m, np.int64)
-        for f in range(m):
-            total = 0
-            for w in range(words):
-                acc = packed[frames[f, 0], w]
-                for j in range(1, k):
-                    acc &= packed[frames[f, j], w]
-                x = acc
-                cnt = 0
-                while x:
-                    x &= x - np.uint64(1)
-                    cnt += 1
-                total += cnt
-            out[f] = total
-        return out
-
-    def _pack_bits(masks: np.ndarray) -> np.ndarray:
-        n, bits = masks.shape
-        words = (bits + 63) // 64
-        padded = np.zeros((n, words * 64), dtype=bool)
-        padded[:, :bits] = masks
-        packed = np.zeros((n, words), dtype=np.uint64)
-        for w in range(words):
-            block = padded[:, w * 64 : (w + 1) * 64]
-            packed[:, w] = (block * (np.uint64(1) << np.arange(64, dtype=np.uint64))).sum(
-                axis=1, dtype=np.uint64
-            )
-        return packed
-
-
-def enumerate_cliques(adj: np.ndarray, k: int, cap: int):
-    """k-cliques of the graph given by boolean matrix adj, capped at cap rows.
-
-    Returns (frames, truncated); frames has shape (m, k) with m <= cap and
-    rows in increasing vertex order.
-    """
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int32), False
-    adj = np.ascontiguousarray(adj.astype(np.uint8))
-    if HAS_NUMBA:
-        return _enumerate_cliques_nb(adj, k, cap)
-    return _enumerate_cliques_py(adj, k, cap)
-
-
-def fixed_counts(zero_masks: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Per frame, count the mask positions shared by every row of the frame."""
-    if frames.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if frames.shape[1] == 0:
-        return np.full(frames.shape[0], zero_masks.shape[1], dtype=np.int64)
-    if HAS_NUMBA:
-        return _fixed_counts_nb(_pack_bits(zero_masks), np.ascontiguousarray(frames))
-    return _fixed_counts_py(zero_masks, frames)

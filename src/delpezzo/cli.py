@@ -377,6 +377,20 @@ def cmd_dp1_star(args):
 
 
 def reproduce_table(table_id: int):
+    partial = []  # k of every frame scan that stopped at its budget
+
+    def scan_frames(lat, k):
+        scan = involution_frames(lat, k)
+        if not scan.exhausted:
+            partial.append(k)
+        return scan
+
+    report = _table_report(table_id, scan_frames)
+    report["checks"] += [_check(f"scan_exhausted_k{k}", True, False) for k in partial]
+    return report
+
+
+def _table_report(table_id: int, scan_frames):
     if table_id == 1:
         checks = []
         for degree, row in sorted(tables.WEYL_ORDERS.items(), reverse=True):
@@ -414,7 +428,7 @@ def reproduce_table(table_id: int):
         checks = []
         results = {}
         for row in tables.CUBIC_REAL_PAIRS:
-            scan = involution_frames(lat, row["k"])
+            scan = scan_frames(lat, row["k"])
             pairs = sorted((fp.fixed_line_count, fp.fixed_trio_count) for fp in scan.fingerprints)
             results[row["label"]] = pairs
             expected = [tuple(row["pair"])]
@@ -432,7 +446,7 @@ def reproduce_table(table_id: int):
         checks = []
         line_counts = {}
         for k in range(0, 4):
-            scan = involution_frames(lat, k)
+            scan = scan_frames(lat, k)
             line_counts[k] = sorted((fp.fixed_line_count for fp in scan.fingerprints), reverse=True)
         expected_counts = {0: [16], 1: [8], 2: [4, 0], 3: [0]}
         for k, want in expected_counts.items():
@@ -462,7 +476,7 @@ def reproduce_table(table_id: int):
         found = set()
         per_k = {}
         for k in range(0, lat.r + 1):
-            scan = involution_frames(lat, k)
+            scan = scan_frames(lat, k)
             pairs = sorted((fp.trace_kperp, fp.fixed_line_count) for fp in scan.fingerprints)
             per_k[k] = pairs
             found.update(pairs)

@@ -10,7 +10,6 @@ named conjugacy classes used in the degree 1-4 classifications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -76,9 +75,11 @@ class Isometry:
         return Isometry(self.lattice, self._np @ other._np, _validate=False)
 
     def inverse(self) -> "Isometry":
-        inv = np.rint(np.linalg.inv(self._np)).astype(np.int64)
+        # M^T G M = G and G^-1 = G for G = diag(1, -1, ..., -1) give M^-1 = G M^T G
+        g = self.lattice.gram
+        inv = g @ self._np.T @ g
         if not np.array_equal(self._np @ inv, np.eye(self.lattice.rank, dtype=np.int64)):
-            raise NotAnIsometry("matrix is not invertible over the integers")
+            raise NotAnIsometry("matrix does not preserve the intersection form")
         return Isometry(self.lattice, inv, _validate=False)
 
     def is_identity(self) -> bool:
@@ -209,39 +210,27 @@ class ElementFingerprint:
 
 
 def _charpoly_int(mat: np.ndarray) -> tuple[int, ...]:
-    """det(xI - M) by Faddeev-LeVerrier over exact rationals, ascending coeffs."""
+    """det(xI - M) by Faddeev-LeVerrier over Python ints, ascending coeffs.
+
+    For an integer matrix the k-th trace is divisible by k, so every
+    division is exact.
+    """
     n = mat.shape[0]
-    m = [[Fraction(int(mat[i, j])) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
-    aux = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        aux[i][i] = Fraction(1)
-    prod = None
-    cs = []
+    m = [[int(x) for x in row] for row in mat]
+    desc = [1]  # coefficients of x^n, x^(n-1), ...
+    prod = m
     for k in range(1, n + 1):
-        if k == 1:
-            prod = m
-        else:
+        if k > 1:
             shifted = [
-                [prod[i][j] + (cs[-1] if i == j else 0) for j in range(n)]
-                for i in range(n)
+                [x + desc[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(prod)
             ]
-            prod = [
-                [sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        trace = sum(prod[i][i] for i in range(n))
-        cs.append(-trace / k)
-    asc = [None] * (n + 1)
-    asc[n] = Fraction(1)
-    for k, c in enumerate(cs, start=1):
-        asc[n - k] = c
-    out = []
-    for c in asc:
-        if c.denominator != 1:
+            cols = list(zip(*shifted))
+            prod = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in m]
+        coeff, rem = divmod(-sum(prod[i][i] for i in range(n)), k)
+        if rem:
             raise ArithmeticError("integer matrix has non-integer charpoly")
-        out.append(int(c))
-    return tuple(out)
+        desc.append(coeff)
+    return tuple(reversed(desc))
 
 
 def _divide_linear(poly: tuple[int, ...], root: int) -> tuple[int, ...]:
@@ -363,45 +352,20 @@ def frame_matrix(lat: PicardLattice, roots: np.ndarray) -> np.ndarray:
     return mat
 
 
-def involution_frames(
-    lat: PicardLattice, k: int, budget: int = 200000, seed: int = 20260810
-) -> FrameScan:
+def involution_frames(lat: PicardLattice, k: int, budget: int = 200000) -> FrameScan:
     """Distinct fingerprints of products of reflections in k orthogonal roots.
 
     The scan is exhaustive when the number of frames is within budget;
-    otherwise the lexicographic prefix is complemented by seeded random
-    frames, and `exhausted` is False to flag possible under-reporting.
+    otherwise it covers the lexicographic prefix of budget frames, and
+    `exhausted` is False to flag possible under-reporting.
     """
     if not 0 <= k <= lat.r:
         raise ValueError(f"k must be in 0..{lat.r}")
     if k == 0:
         return FrameScan((fingerprint(lat, identity(lat)),), 1, True)
     pos = _positive_roots(lat)
-    n = pos.shape[0]
-    prods = pos @ lat.gram @ pos.T
-    adj = prods == 0
+    adj = (pos @ lat.gram @ pos.T) == 0
     frames, truncated = _kernels.enumerate_cliques(adj, k, budget)
-    examined = frames.shape[0]
-    if truncated:
-        rng = np.random.default_rng(seed)
-        extra = []
-        attempts = 0
-        while len(extra) < budget and attempts < 20 * budget:
-            attempts += 1
-            chosen = [int(rng.integers(n))]
-            ok = True
-            for _ in range(k - 1):
-                cands = np.flatnonzero(np.all(adj[chosen], axis=0))
-                cands = cands[~np.isin(cands, chosen)]
-                if cands.size == 0:
-                    ok = False
-                    break
-                chosen.append(int(rng.choice(cands)))
-            if ok:
-                extra.append(sorted(chosen))
-        if extra:
-            frames = np.vstack([frames, np.array(extra, dtype=np.int32)])
-            examined += len(extra)
     # lines orthogonal to a root are exactly the lines fixed by its reflection
     lines = np.array([e.coords for e in enumerate_exceptional(lat)], dtype=np.int64)
     zero_masks = (pos @ lat.gram @ lines.T) == 0
@@ -416,9 +380,12 @@ def involution_frames(
         mat = frame_matrix(lat, pos[reps[c]])
         iso = Isometry(lat, mat, _validate=False)
         fp = fingerprint(lat, iso)
-        assert fp.fixed_line_count == c
+        if fp.fixed_line_count != c:
+            raise ArithmeticError(
+                f"frame kernel counted {c} fixed lines, the fingerprint {fp.fixed_line_count}"
+            )
         fps.append(fp)
-    return FrameScan(tuple(fps), examined, not truncated)
+    return FrameScan(tuple(fps), frames.shape[0], not truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -126,3 +126,16 @@ def test_minimal_subcommand(capsys):
     assert data["results"]["rank"] == 1
     assert data["results"]["strongly_minimal"] is True
     assert data["results"]["contractible_set"] is None
+
+
+def test_table_flags_a_scan_cut_by_its_budget(capsys, monkeypatch):
+    import delpezzo.cli
+    from delpezzo import weyl
+
+    monkeypatch.setattr(
+        delpezzo.cli, "involution_frames", lambda lat, k: weyl.involution_frames(lat, k, budget=50)
+    )
+    code, out = _run(capsys, "table", "--id", "7")
+    assert code == 1
+    failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
+    assert {"scan_exhausted_k3", "scan_exhausted_k4", "scan_exhausted_k8"} <= failed
