@@ -16,9 +16,11 @@ def enumerate_cliques(adj: np.ndarray, k: int, cap: int):
 
     Returns (frames, truncated); frames has shape (m, k) with m <= cap,
     each row in increasing vertex order and the rows in lexicographic
-    order.  truncated is True once cap rows have been found, so a capped
-    scan returns the lexicographic prefix of the full one.
+    order.  truncated is True when a clique exists beyond the cap rows, so
+    a capped scan returns the lexicographic prefix of the full one.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
     if k == 0:
         return np.zeros((1, 0), dtype=np.int32), False
     upper = np.triu(np.asarray(adj, dtype=bool), 1)
@@ -29,17 +31,17 @@ def enumerate_cliques(adj: np.ndarray, k: int, cap: int):
     last = k - 1
 
     def rec(chosen: tuple[int, ...], cands: int) -> bool:
-        """Extend chosen by the vertices of cands in order; True once capped."""
+        """Extend chosen by the vertices of cands in order; True on a clique beyond the cap."""
         depth = len(chosen)
         while cands.bit_count() > last - depth:
             low = cands & -cands
             cands ^= low
             v = low.bit_length() - 1
             if depth == last:
+                if len(flat) == full:
+                    return True
                 flat.extend(chosen)
                 flat.append(v)
-                if len(flat) >= full:
-                    return True
             elif rec(chosen + (v,), cands & nbr[v]):
                 return True
         return False

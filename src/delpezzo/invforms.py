@@ -169,7 +169,8 @@ def standard_dihedral(n: int) -> PointGroup2D:
         mats.append(rot)
         # rot composed with diag(1, -1): negate the second column
         mats.append(((rot[0][0], -rot[0][1]), (rot[1][0], -rot[1][1])))
-    assert refl in mats
+    if refl not in mats:
+        raise ArithmeticError(f"the dihedral group of order {2 * n} lacks the reflection diag(1, -1)")
     return PointGroup2D("dihedral", n, tuple(mats))
 
 

@@ -70,7 +70,8 @@ def squarefree_part(p):
     if poly_degree(g) < 1:
         return p
     q, r = poly_divmod(p, g)
-    assert not r
+    if r:
+        raise ArithmeticError("gcd(p, p') leaves a remainder in p")
     return q
 
 

@@ -361,6 +361,8 @@ def involution_frames(lat: PicardLattice, k: int, budget: int = 200000) -> Frame
     """
     if not 0 <= k <= lat.r:
         raise ValueError(f"k must be in 0..{lat.r}")
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     if k == 0:
         return FrameScan((fingerprint(lat, identity(lat)),), 1, True)
     pos = _positive_roots(lat)

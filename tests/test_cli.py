@@ -139,3 +139,12 @@ def test_table_flags_a_scan_cut_by_its_budget(capsys, monkeypatch):
     assert code == 1
     failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
     assert {"scan_exhausted_k3", "scan_exhausted_k4", "scan_exhausted_k8"} <= failed
+
+
+def test_frames_budget_equal_to_the_frame_count_is_exhaustive(capsys):
+    code, out = _run(capsys, "frames", "--degree", "3", "--k", "1", "--budget", "36")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["frames_examined"] == 36 and results["exhausted"] is True
+    code, out = _run(capsys, "frames", "--degree", "3", "--k", "1", "--budget", "0")
+    assert code == 2 and "error" in json.loads(out)

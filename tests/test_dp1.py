@@ -235,3 +235,10 @@ def test_sturm_helpers():
     sq = realroots.poly_trim([1, 2, 1])  # (x+1)^2
     assert not realroots.is_squarefree(sq)
     assert realroots.squarefree_part(sq) == [Fraction(1), Fraction(1)]
+
+
+def test_squarefree_part_raises_on_a_remainder(monkeypatch):
+    # a "gcd" x that does not divide x^2 + 1
+    monkeypatch.setattr(realroots, "poly_gcd", lambda a, b: [Fraction(0), Fraction(1)])
+    with pytest.raises(ArithmeticError):
+        realroots.squarefree_part([Fraction(c) for c in (1, 0, 1)])

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from delpezzo.exactnum import (
     CycloNum,
+    _power_table,
     NonRealInput,
     ParseError,
     conj,
@@ -140,3 +142,92 @@ def test_parser_context_conductor(monkeypatch):
     val = parse_scalar("z8^1")
     assert val.n == 120
     assert val == cyclo_make(8, 1)
+
+
+# ---------------------------------------------------------------------------
+# oracle: CycloNum against a slow Fraction implementation of Q(zeta_n), the
+# schoolbook product reduced through the table of powers of zeta_n
+
+ORACLE_CONDUCTORS = (1, 3, 4, 5, 8, 12, 20, 28, 36, 44, 120)
+
+
+def _ref_combine(terms, n):
+    """sum c * zeta_n^k over (c, k) in terms, as Fractions in the power basis."""
+    table = _power_table(n)
+    out = [Fraction(0)] * euler_phi(n)
+    for c, k in terms:
+        for j, t in enumerate(table[k % n]):
+            out[j] += c * t
+    return out
+
+
+def _ref_mul(n, a, b):
+    return _ref_combine([(x * y, i + j) for i, x in enumerate(a) for j, y in enumerate(b)], n)
+
+
+def _ref_embed(n, a, m):
+    return _ref_combine([(x, i * (m // n)) for i, x in enumerate(a)], m)
+
+
+def _ref_conj(n, a):
+    return _ref_combine([(x, n - i) for i, x in enumerate(a)], n)
+
+
+def _random_value(rng, n):
+    """A random element: dense, sparse or rational, with small denominators."""
+    phi = euler_phi(n)
+    kind = rng.randrange(3)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(phi)]
+    if kind == 1:
+        coeffs = [c if rng.random() < 0.3 else Fraction(0) for c in coeffs]
+    elif kind == 2:
+        coeffs = [coeffs[0]] + [Fraction(0)] * (phi - 1)
+    return CycloNum(n, coeffs)
+
+
+def _assert_canonical(x):
+    assert len(x.num) == euler_phi(x.n)
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert CycloNum(x.n, x.coeffs) == x
+    assert (CycloNum(x.n, x.coeffs).num, CycloNum(x.n, x.coeffs).den) == (x.num, x.den)
+
+
+def test_arithmetic_matches_fraction_oracle():
+    rng = random.Random(2024)
+    for n in ORACLE_CONDUCTORS:
+        trials = 3 if n == 120 else 12
+        for _ in range(trials):
+            a, b = _random_value(rng, n), _random_value(rng, n)
+            for x in (a, b):
+                _assert_canonical(x)
+            prod, total = a * b, a + b
+            assert list(prod.coeffs) == _ref_mul(n, a.coeffs, b.coeffs)
+            assert list(total.coeffs) == [x + y for x, y in zip(a.coeffs, b.coeffs)]
+            assert list((a - b).coeffs) == [x - y for x, y in zip(a.coeffs, b.coeffs)]
+            assert list(conj(a).coeffs) == _ref_conj(n, a.coeffs)
+            for m in (2 * n, 3 * n):
+                assert list(a.embed(m).coeffs) == _ref_embed(n, a.coeffs, m)
+                _assert_canonical(a.embed(m))
+            for y in (prod, total, a - b, -a, conj(a)):
+                _assert_canonical(y)
+            if not a.is_zero():
+                inv = a.inverse()
+                _assert_canonical(inv)
+                assert _ref_mul(n, a.coeffs, inv.coeffs) == _ref_combine([(Fraction(1), 0)], n)
+
+
+def test_hash_is_canonical_across_embeddings():
+    rng = random.Random(99)
+    for n in ORACLE_CONDUCTORS:
+        x = _random_value(rng, n)
+        for m in (2 * n, 3 * n):
+            y = x.embed(m)
+            assert x == y and hash(x) == hash(y)
+        assert hash(x) == hash(x)  # cached on first use
+    # values that live in a smaller field than their conductor says
+    assert hash(CycloNum.rational(Fraction(3, 7), 12)) == hash(CycloNum.rational(Fraction(3, 7)))
+    assert hash(cyclo_make(3, 1).embed(36)) == hash(cyclo_make(12, 4))
+    # a rational value hashes as the int or Fraction it equals
+    assert hash(cyclo_make(8, 4)) == hash(-1)
+    assert {Fraction(1, 2): "half"}[CycloNum.rational(Fraction(1, 2), 4)] == "half"

@@ -174,3 +174,12 @@ def test_dihedral_space_inside_cyclic_space():
             zn = invariant_subspace(standard_cyclic(n), k)
             for form in dn:
                 assert in_span(form, zn)
+
+
+def test_dihedral_without_its_reflection_raises(monkeypatch):
+    from delpezzo import invforms
+
+    rotation = invforms._rotation_matrix
+    monkeypatch.setattr(invforms, "_rotation_matrix", lambda n, k: rotation(n, 1))
+    with pytest.raises(ArithmeticError):
+        standard_dihedral(3)

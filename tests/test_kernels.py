@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from delpezzo._kernels import enumerate_cliques, fixed_counts
 from delpezzo.picard import PicardLattice, enumerate_exceptional
@@ -43,6 +44,26 @@ def test_clique_cap_truncates():
     assert truncated and frames.shape == (10, 3)
     full, _ = enumerate_cliques(adj, 3, 10**6)
     assert np.array_equal(frames, full[:10])
+
+
+def test_clique_cap_flags_only_a_clique_beyond_it():
+    _, pos, adj, _ = _data(3)
+    assert len(pos) == 36  # E6 has 36 positive roots, the 1-cliques
+    frames, truncated = enumerate_cliques(adj, 1, 36)
+    assert frames.shape == (36, 1) and not truncated
+    frames, truncated = enumerate_cliques(adj, 1, 35)
+    assert frames.shape == (35, 1) and truncated
+    for k in range(2, 5):
+        total = len(_cliques_by_combinations(adj, k))
+        assert not enumerate_cliques(adj, k, total)[1]
+        assert enumerate_cliques(adj, k, total - 1)[1]
+
+
+def test_clique_cap_must_be_positive():
+    _, _, adj, _ = _data(3)
+    for k in (0, 1):
+        with pytest.raises(ValueError):
+            enumerate_cliques(adj, k, 0)
 
 
 def test_fixed_count_paths_agree():
