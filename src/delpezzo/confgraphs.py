@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import colorgraph
+from .exactnum import _solve
 from .picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_exceptional
 from .weyl import Isometry
 
@@ -141,14 +142,14 @@ def hexagon_sigma_isometry(lat: PicardLattice, pattern: str) -> Isometry:
 def vertex_permutation_isometry(lat: PicardLattice, perm: tuple[int, ...]) -> Isometry:
     """Extend a hexagon symmetry to the unique lattice isometry."""
     verts = hexagon_vertex_order(lat)
-    src = np.array([v.coords for v in verts[:4]], dtype=np.int64).T
-    dst = np.array([verts[perm[i]].coords for i in range(4)], dtype=np.int64).T
-    sol = np.linalg.solve(src.astype(float), np.eye(4))
-    mat = dst.astype(float) @ sol
-    mat_int = np.rint(mat).astype(np.int64)
-    if not np.allclose(mat, mat_int, atol=1e-9):
+    # M v_i = v_perm(i) for the first four vertices: row k of M solves
+    # sum_j x_j v_i[j] = v_perm(i)[k] for i < 4
+    src = [v.coords for v in verts[:4]]
+    dst = [[verts[perm[i]].coords[k] for i in range(4)] for k in range(4)]
+    mat = _solve(src, dst)
+    if mat is None or any(c.denominator != 1 for row in mat for c in row):
         raise ValueError("vertex permutation does not extend integrally")
-    return Isometry(lat, mat_int)
+    return Isometry(lat, np.array(mat, dtype=np.int64))
 
 
 DP5_PATTERNS = ("split", "fig_a", "fig_b")

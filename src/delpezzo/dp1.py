@@ -13,9 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import realroots
+from .exactnum import _solve
 from .invforms import BinaryForm, PointGroup2D, group_from_label, in_span, invariant_subspace
 from .picard import LatticeClass, PicardLattice, enumerate_exceptional
-from .weyl import Isometry, fingerprint, minus_on_kperp, reflection
+from .weyl import Isometry, _poly_from_factors, fingerprint, minus_on_kperp, reflection
 
 
 class NonSquarefreeDiscriminant(ValueError):
@@ -230,18 +231,7 @@ def _is_a22(lat: PicardLattice, g: Isometry) -> bool:
     if fp.order != 3 or fp.trace_kperp != 2:
         return False
     # charpoly on K-perp must be (x^2+x+1)^2 (x-1)^4
-    want = _poly_mul((1, 1, 1), (1, 1, 1))
-    for _ in range(4):
-        want = _poly_mul(want, (-1, 1))
-    return fp.charpoly_kperp == tuple(want)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
+    return fp.charpoly_kperp == _poly_from_factors((1, 1, 1), (1, 1, 1), *[(-1, 1)] * 4)
 
 
 def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
@@ -349,11 +339,11 @@ def star_block_matrix(lat: PicardLattice, g: Isometry, stars) -> np.ndarray:
     """Matrix of g on the star basis, columns = images of basis vectors."""
     basis = star_basis(lat, stars)  # 8 x 9, rows span K-perp
     images = basis @ g.np.T
-    coeffs, *_ = np.linalg.lstsq(basis.T.astype(float), images.T.astype(float), rcond=None)
-    mat = np.rint(coeffs.T).astype(np.int64)
-    if not np.array_equal(mat @ basis, images):
+    # row k of mat solves basis.T x = images[k]
+    mat = _solve(basis.T.tolist(), images.tolist())
+    if mat is None or any(c.denominator != 1 for row in mat for c in row):
         raise NotTypeA2Squared("star classes do not span K-perp integrally")
-    return mat.T  # column convention: g(b_j) = sum_i mat[i, j] b_i
+    return np.array(mat, dtype=np.int64).T  # column convention: g(b_j) = sum_i mat[i, j] b_i
 
 
 def _verify_block_matrix(lat: PicardLattice, g: Isometry, stars) -> None:

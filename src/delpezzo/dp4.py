@@ -20,6 +20,8 @@ from itertools import permutations
 
 import numpy as np
 
+from .exactnum import _solve
+
 
 class NotAGroup(ValueError):
     pass
@@ -185,12 +187,12 @@ _Q31_BASIS = np.array(
 def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> np.ndarray:
     """Matrix of el on Q_{3,1}(0,2) in the basis (F, Fbar, E_p, E_pbar, E_q, E_qbar)."""
     m = dp4_matrix(el, REAL_FORMS["q31_02"], with_sigma)
-    t = _Q31_BASIS.astype(float)
-    out = t @ m @ np.linalg.inv(t)
-    out_int = np.rint(out).astype(np.int64)
-    if not np.allclose(out, out_int, atol=1e-9):
+    t = _Q31_BASIS
+    # out = t m t^-1: row k of out solves t.T x = (t m)[k]
+    out = _solve(t.T.tolist(), (t @ m).tolist())
+    if out is None or any(c.denominator != 1 for row in out for c in row):
         raise ArithmeticError("geometric change of basis is not integral")
-    return out_int
+    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

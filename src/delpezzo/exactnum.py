@@ -1,4 +1,5 @@
-"""Exact arithmetic over big rationals and cyclotomic fields Q(zeta_n).
+"""Exact arithmetic over big rationals and cyclotomic fields Q(zeta_n), and
+the package's one exact linear-algebra layer.
 
 Every value is immutable.  A :class:`CycloNum` is stored as an integer
 numerator vector over one positive denominator, in lowest terms, for the
@@ -7,6 +8,10 @@ elements is literal equality of (numerators, denominator) at the same
 conductor.  Complex conjugation is the ring map zeta -> zeta^(n-1), and signs
 of real elements are decided exactly: zero from the representation, nonzero
 by adaptive interval evaluation.
+
+Integer and rational linear systems, here and in the lattice modules, go
+through fraction-free integer elimination (`_echelon`, after Bareiss 1968)
+and the exact solver built on it (`_solve`); no floating point is involved.
 """
 
 from __future__ import annotations
@@ -265,13 +270,13 @@ class CycloNum:
             raise ZeroDivisionError("cyclotomic division by zero")
         if self.is_rational():
             return CycloNum.rational(Fraction(self.den, self.num[0]), self.n)
-        n, phi = self.n, len(self.num)
-        # columns of the multiplication-by-self matrix
-        cols = [(self * CycloNum.zeta_power(n, j)).coeffs for j in range(phi)]
+        n, phi, den = self.n, len(self.num), self.den
+        # columns of the multiplication-by-num matrix, num = self * den
+        cols = [self * CycloNum.zeta_power(n, j) for j in range(phi)]
+        cols = [[c * (den // col.den) for c in col.num] for col in cols]
         mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = _solve_linear(mat, rhs)
-        return CycloNum(n, sol)
+        sol = _solve(mat, [[den] + [0] * (phi - 1)])
+        return CycloNum(n, sol[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -354,66 +359,57 @@ def _descend(x: CycloNum, d: int) -> CycloNum | None:
     """Express x at conductor d | n if it lies in Q(zeta_d), else None."""
     n = x.n
     phi_d, phi_n = euler_phi(d), euler_phi(n)
-    basis = [CycloNum.zeta_power(d, j).embed(n).coeffs for j in range(phi_d)]
+    basis = [CycloNum.zeta_power(d, j).embed(n).num for j in range(phi_d)]
     mat = [[basis[j][i] for j in range(phi_d)] for i in range(phi_n)]
-    sol = _solve_linear_overdetermined(mat, list(x.coeffs))
+    sol = _solve(mat, [x.num])
     if sol is None:
         return None
-    return CycloNum(d, sol)
+    return CycloNum(d, [c / x.den for c in sol[0]])
 
 
-def _solve_linear(mat, rhs):
-    """Solve square system over Fraction by Gaussian elimination."""
-    n = len(mat)
-    aug = [list(mat[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Nonzero echelon rows of an integer matrix and their pivot columns.
 
-
-def _solve_linear_overdetermined(mat, rhs):
-    """Solve a tall system exactly; None when inconsistent."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
+    Fraction-free elimination (Bareiss 1968): each step divides by the
+    previous pivot exactly, so the entries stay minors of the input and
+    never leave the integers.
+    """
+    rows = [list(r) for r in rows]
     pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top, p = rows[r], rows[r][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if len(pivots) == len(rows):
             break
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    # consistency of non-pivot rows was already checked; pivot rows define sol
-    for i in range(rows):
-        acc = sum((mat[i][j] * sol[j] for j in range(cols)), Fraction(0))
-        if acc != rhs[i]:
-            return None
-    return sol
+    return rows[: len(pivots)], pivots
+
+
+def _solve(mat, rhs_columns) -> list[list[Fraction]] | None:
+    """One exact solution x of mat x = b per column b, free unknowns 0.
+
+    None when any of the systems is inconsistent.
+    """
+    ncols = len(mat[0])
+    rows, pivots = _echelon([list(r) + [b[i] for b in rhs_columns] for i, r in enumerate(mat)])
+    if pivots and pivots[-1] >= ncols:
+        return None
+    sols = []
+    for k in range(ncols, ncols + len(rhs_columns)):
+        x = [Fraction(0)] * ncols
+        for row, c in zip(reversed(rows), reversed(pivots)):
+            x[c] = (row[k] - sum(row[j] * x[j] for j in range(c + 1, ncols))) / Fraction(row[c])
+        sols.append(x)
+    return sols
 
 
 # ---------------------------------------------------------------------------

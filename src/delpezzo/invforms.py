@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .exactnum import CycloNum, cyclo_make
+from .explicitlines import mat_rank
 
 _ZERO = CycloNum.rational(0)
 _ONE = CycloNum.rational(1)
@@ -249,13 +250,7 @@ def in_span(f: BinaryForm, basis: list[BinaryForm]) -> bool:
     if not basis:
         return f.is_zero()
     rows = [list(b.coeffs) for b in basis] + [list(f.coeffs)]
-    return mat_rank_cyclo(rows) == mat_rank_cyclo(rows[:-1])
-
-
-def mat_rank_cyclo(rows) -> int:
-    from .explicitlines import mat_rank
-
-    return mat_rank(rows)
+    return mat_rank(rows) == mat_rank(rows[:-1])
 
 
 def realpart_power(n: int, take: str = "real") -> BinaryForm:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exactnum import _echelon
 from .picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_exceptional
 from .weyl import Isometry, IsometryGroup
 
@@ -53,29 +54,6 @@ def invariant_rank(ctx: ActionContext) -> int:
     return 1 + int(avg)
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix by fraction-free elimination."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [pv * a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == ncols:
-            break
-    return rank
-
-
 def fixed_sublattice_rank(ctx: ActionContext) -> int:
     """Rank of the common fixed space, via the kernel of stacked (M - I).
 
@@ -92,7 +70,7 @@ def fixed_sublattice_rank(ctx: ActionContext) -> int:
     eye = np.eye(d, dtype=np.int64)
     for m in mats:
         rows.extend((m - eye).tolist())
-    return d - _int_rank(rows)
+    return d - len(_echelon(rows)[1])
 
 
 def is_strongly_minimal(ctx: ActionContext) -> bool:

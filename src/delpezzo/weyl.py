@@ -10,11 +10,12 @@ named conjugacy classes used in the degree 1-4 classifications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import _kernels
+from .exactnum import _poly_divexact, _poly_mul
 from .picard import (
     LatticeClass,
     PicardLattice,
@@ -154,27 +155,28 @@ def close_group(lat: PicardLattice, gens, cap: int = 100000) -> IsometryGroup:
         if gens
         else np.zeros((0, d, d), dtype=np.int64)
     )
-    eye = np.eye(d, dtype=np.int64)
-    seen = {eye.tobytes(): True}
-    all_mats = [eye]
-    frontier = np.stack([eye])
-    while frontier.shape[0] and gen_arr.shape[0]:
+    frontier = np.eye(d, dtype=np.int64)[None]
+    # keys in the order of the rows of `blocks`; fresh rows are copied out
+    # by index, so no product block outlives its own step
+    seen = {frontier[0].tobytes(): None}
+    blocks = [frontier]
+    while gen_arr.shape[0]:
         prods = np.einsum("gij,fjk->gfik", gen_arr, frontier).reshape(-1, d, d)
         fresh = []
-        for m in prods:
+        for i, m in enumerate(prods):
             key = m.tobytes()
             if key not in seen:
-                seen[key] = True
-                fresh.append(m)
+                seen[key] = None
+                fresh.append(i)
                 if len(seen) > cap:
                     raise CapExceeded(len(seen), cap)
         if not fresh:
             break
-        frontier = np.stack(fresh)
-        all_mats.extend(fresh)
-    mats = np.stack(all_mats)
-    order = np.argsort([m.tobytes() for m in mats])
-    return IsometryGroup(lat, gens, np.ascontiguousarray(mats[order]))
+        frontier = prods[fresh]
+        blocks.append(frontier)
+    keys = list(seen)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return IsometryGroup(lat, gens, np.concatenate(blocks)[order])
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +235,6 @@ def _charpoly_int(mat: np.ndarray) -> tuple[int, ...]:
     return tuple(reversed(desc))
 
 
-def _divide_linear(poly: tuple[int, ...], root: int) -> tuple[int, ...]:
-    """Exact division of poly (ascending) by (x - root)."""
-    desc = list(reversed(poly))
-    out = []
-    acc = 0
-    for c in desc:
-        acc = c + root * acc
-        out.append(acc)
-    if out[-1] != 0:
-        raise ArithmeticError(f"{root} is not a root of the polynomial")
-    return tuple(reversed(out[:-1]))
-
-
 def element_order(g: Isometry, cap: int = 1000) -> int:
     eye = np.eye(g.lattice.rank, dtype=np.int64)
     power = g.np.copy()
@@ -275,7 +264,7 @@ def _count_fixed_trios(lat: PicardLattice, mat: np.ndarray) -> int:
 def fingerprint(lat: PicardLattice, g: Isometry) -> ElementFingerprint:
     """Trace/charpoly on the orthogonal complement of K, order, fixed lines."""
     full = _charpoly_int(g.np)
-    kperp = _divide_linear(full, 1)  # K contributes the eigenvalue-1 factor
+    kperp = tuple(_poly_divexact(full, (-1, 1)))  # K contributes the eigenvalue-1 factor
     trace = int(np.trace(g.np)) - 1
     fp = ElementFingerprint(
         trace_kperp=trace,
@@ -443,14 +432,7 @@ _NAMED = {
 # ascending coefficients of the characteristic polynomial on the complement
 # of K.  (A_3xA_1)' and (A_3xA_1)'' share every datum the tables provide.
 def _poly_from_factors(*factors):
-    out = [1]
-    for fac in factors:
-        new = [0] * (len(out) + len(fac) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(fac):
-                new[i + j] += a * b
-        out = new
-    return tuple(out)
+    return tuple(reduce(_poly_mul, factors, (1,)))
 
 
 _X_MINUS_1 = (-1, 1)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from delpezzo import colorgraph
@@ -97,6 +98,17 @@ def test_hexagon_patterns():
         assert reals == expected_reals[pattern]
         # underlying graph is always the 6-cycle
         assert all(sum(row) == 2 for row in graph.adjacency)
+
+
+def test_vertex_permutations_extend_to_every_vertex():
+    lat = PicardLattice(6)
+    verts = [np.array(v.coords) for v in hexagon_vertex_order(lat)]
+    symmetries = {tuple((a + s * i) % 6 for i in range(6)) for a in range(6) for s in (1, -1)}
+    assert len(symmetries) == 12
+    for perm in sorted(symmetries):
+        m = vertex_permutation_isometry(lat, perm).np
+        for i in range(6):
+            assert np.array_equal(m @ verts[i], verts[perm[i]])
 
 
 def test_hexagon_minimal_subgroup_lists():

@@ -23,6 +23,7 @@ from delpezzo.dp4 import (
     sign_vector,
     star_condition,
     wall_characteristic,
+    _Q31_BASIS,
 )
 
 G_PAPER = np.array(
@@ -105,6 +106,15 @@ def test_published_geometric_matrices():
     assert np.array_equal(dp4_matrix_geometric(g), G_PAPER)
     sigma_geo = dp4_matrix_geometric(IDENTITY, with_sigma=True)
     assert np.array_equal(sigma_geo, SIGMA_PAPER)
+
+
+def test_geometric_matrices_conjugate_exactly():
+    form = get_form("q31_02")
+    for el in ambient_group(form):
+        for with_sigma in (False, True):
+            out = dp4_matrix_geometric(el, with_sigma)
+            assert out.dtype == np.int64
+            assert np.array_equal(out @ _Q31_BASIS, _Q31_BASIS @ dp4_matrix(el, form, with_sigma))
 
 
 def test_q22_sigma_action_display():

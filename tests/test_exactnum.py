@@ -6,7 +6,9 @@ import pytest
 
 from delpezzo.exactnum import (
     CycloNum,
+    _echelon,
     _power_table,
+    _solve,
     NonRealInput,
     ParseError,
     conj,
@@ -231,3 +233,91 @@ def test_hash_is_canonical_across_embeddings():
     # a rational value hashes as the int or Fraction it equals
     assert hash(cyclo_make(8, 4)) == hash(-1)
     assert {Fraction(1, 2): "half"}[CycloNum.rational(Fraction(1, 2), 4)] == "half"
+
+
+def _ref_rank_consistent(mat, rhs_columns):
+    """Fraction Gauss-Jordan: the rank of mat, and whether every mat x = b is solvable."""
+    ncols = len(mat[0])
+    rows = [[Fraction(v) for v in r] + [Fraction(b[i]) for b in rhs_columns] for i, r in enumerate(mat)]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [v / rows[rank][c] for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank, not any(any(r[ncols:]) for r in rows[rank:])
+
+
+def _linear_systems(rng):
+    """(kind, matrix, rhs columns) over seeded integer matrices of every shape."""
+
+    def rand(m, n, size=5):
+        return [[rng.randint(-size, size) for _ in range(n)] for _ in range(m)]
+
+    def times(a, x):
+        return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
+
+    for trial in range(40):
+        size = 10**15 if trial % 4 == 0 else 5  # beyond int64 in the products
+        n = rng.randint(1, 6)
+        a = rand(n, n, size)
+        while _ref_rank_consistent(a, [])[0] < n:
+            a = rand(n, n, size)
+        yield "square nonsingular", a, [times(a, rand(1, n)[0]), rand(1, n)[0]]
+        if n > 1:
+            b = rand(n - 1, n, size)
+            b.append([sum(k * r[j] for k, r in zip(rand(1, n - 1)[0], b)) for j in range(n)])
+            rng.shuffle(b)
+            yield "square singular", b, [times(b, rand(1, n)[0])]
+            yield "square singular", b, [rand(1, n)[0], times(b, rand(1, n)[0])]
+        m = n + rng.randint(1, 4)
+        t = rand(m, n, size)
+        yield "tall consistent", t, [times(t, rand(1, n)[0]) for _ in range(3)]
+        yield "tall inconsistent", t, [times(t, rand(1, n)[0]), rand(1, m, size)[0]]
+        w = rand(n, m, size)
+        yield "wide", w, [rand(1, n)[0]]
+        z = rand(m, m)
+        for i in rng.sample(range(m), rng.randint(1, m - 1)):
+            z[i] = [0] * m
+        for j in rng.sample(range(m), rng.randint(1, m - 1)):
+            for r in z:
+                r[j] = 0
+        yield "zero rows and columns", z, [times(z, rand(1, m)[0]), rand(1, m)[0]]
+
+
+def test_echelon_and_solve_match_fraction_oracle():
+    seen = set()
+    for kind, mat, cols in _linear_systems(random.Random(7)):
+        rank, consistent = _ref_rank_consistent(mat, cols)
+        rows, pivots = _echelon(mat)
+        assert len(pivots) == len(rows) == rank
+        assert pivots == sorted(set(pivots))
+        for row, c in zip(rows, pivots):
+            assert all(type(v) is int for v in row)
+            assert row[c] != 0 and not any(row[:c])
+        sols = _solve(mat, cols)
+        assert (sols is None) == (not consistent)
+        seen.add((kind, consistent))
+        if sols is None:
+            continue
+        assert len(sols) == len(cols)
+        for x, b in zip(sols, cols):
+            assert [sum(r[j] * x[j] for j in range(len(x))) for r in mat] == b
+            assert all(x[j] == 0 for j in range(len(x)) if j not in pivots)
+    # every kind was met, and both outcomes where the kind allows them
+    assert seen >= {
+        ("square nonsingular", True),
+        ("square singular", True),
+        ("square singular", False),
+        ("tall consistent", True),
+        ("tall inconsistent", False),
+        ("wide", True),
+        ("zero rows and columns", True),
+        ("zero rows and columns", False),
+    }

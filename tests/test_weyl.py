@@ -59,6 +59,11 @@ def test_close_group_orders():
     assert full_weyl_group(6).order == 12
     assert full_weyl_group(5).order == 120
     assert full_weyl_group(4).order == 1920
+    assert full_weyl_group(3).order == 51840
+    # W(D5) and W(E6): distinct matrices in ascending byte order
+    for degree in (4, 3):
+        keys = [m.tobytes() for m in full_weyl_group(degree).matrices]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_cap_exceeded():
