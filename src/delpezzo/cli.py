@@ -24,7 +24,7 @@ from .confgraphs import (
     hexagon_minimal_subgroups,
     hexagon_sigma_isometry,
 )
-from .dp1 import DP1Surface, a22_element, classify_fibers, euler_heuristic, find_star_configurations
+from .dp1 import DP1Surface, _euler_verdict, a22_element, classify_fibers, find_star_configurations
 from .dp4 import (
     DP4Element,
     PencilSpec,
@@ -329,7 +329,7 @@ def cmd_dp1_rationality(args):
     f6 = BinaryForm.from_rational(_parse_rational_list(args.f6))
     surf = DP1Surface(f4, f6)
     reports = classify_fibers(surf)
-    euler, verdict = euler_heuristic(surf)
+    euler, verdict = _euler_verdict(reports)
     return _report(
         "dp1 rationality",
         {"f4": args.f4, "f6": args.f6},

@@ -7,7 +7,7 @@ rows of the degree-1 classification, and star-of-David configurations of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -33,18 +33,20 @@ class DP1Surface:
 
     f4: BinaryForm
     f6: BinaryForm
+    disc: BinaryForm = field(init=False, repr=False, compare=False)  # discriminant(self)
 
     def __post_init__(self):
         if self.f4.degree != 4 or self.f6.degree != 6:
             raise ValueError("need forms of degrees 4 and 6")
         if not (self.f4.is_rational() and self.f6.is_rational()):
             raise ValueError("coefficients must be rational")
-        if discriminant(self).is_zero():
+        object.__setattr__(self, "disc", discriminant(self))
+        if self.disc.is_zero():
             raise ValueError("identically-zero discriminant: every fiber is singular")
 
     def is_smooth_proxy(self) -> bool:
         """Squarefreeness of the discriminant form (the smoothness proxy)."""
-        dehom, inf_mult = _dehomogenize(discriminant(self))
+        dehom, inf_mult = _dehomogenize(self.disc)
         return realroots.is_squarefree(dehom) and inf_mult <= 1
 
 
@@ -77,7 +79,7 @@ def classify_fibers(s: DP1Surface) -> list[FiberReport]:
     the root.  Cusp roots are allowed (the discriminant vanishes there to
     order exactly two); any other multiple root raises.
     """
-    disc, inf_mult = _dehomogenize(discriminant(s))
+    disc, inf_mult = _dehomogenize(s.disc)
     f4d, f4_inf = _dehomogenize(s.f4)
     f6d, f6_inf = _dehomogenize(s.f6)
     cusp = realroots.squarefree_part(realroots.poly_gcd(f4d, f6d))
@@ -134,7 +136,10 @@ def classify_fibers(s: DP1Surface) -> list[FiberReport]:
 def euler_heuristic(s: DP1Surface) -> tuple[int, str]:
     """(acnodes - crunodes, verdict); negative Euler number certifies a
     connected real locus (hence rationality), anything else is inconclusive."""
-    reports = classify_fibers(s)
+    return _euler_verdict(classify_fibers(s))
+
+
+def _euler_verdict(reports: list[FiberReport]) -> tuple[int, str]:
     euler = sum(1 for r in reports if r.kind == "acnode") - sum(
         1 for r in reports if r.kind == "crunode"
     )

@@ -3,11 +3,20 @@
 Polynomials are ascending coefficient lists over Fraction.  Isolation
 returns disjoint rational intervals, each containing exactly one real root
 (endpoints are never roots; exact rational roots get degenerate intervals).
+
+Inside, each polynomial is converted once to its primitive integer form: a
+positive rational multiple of it with coprime integer coefficients, so it
+has the same roots and the same sign everywhere.  Division, gcd and Sturm
+chains use sign-preserving pseudo-remainders with the content divided out
+at each step (the primitive PRS of Collins, 1967), and the sign at
+x = a/b (b > 0) is the sign of b^d p(a/b), an integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 
 def poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -21,123 +30,180 @@ def poly_degree(p) -> int:
     return len(p) - 1
 
 
-def poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+# ---------------------------------------------------------------------------
+# the integer core: tuples of ints, ascending, no trailing zeros
 
 
-def poly_deriv(p):
+def _primitive(p) -> tuple[int, ...]:
+    """The integer multiple of p by a positive rational whose coefficients
+    have gcd 1; () for the zero polynomial.  Takes ints and Fractions."""
+    den = lcm(*(c.denominator for c in p))
+    return _reduce([c.numerator * (den // c.denominator) for c in p])
+
+
+def _reduce(p: list[int]) -> tuple[int, ...]:
+    """p without trailing zeros, divided by its positive content."""
+    while p and p[-1] == 0:
+        p.pop()
+    g = gcd(*p)
+    return tuple(c // g for c in p) if g > 1 else tuple(p)
+
+
+def _deriv(p) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def poly_divmod(num, den):
-    num, den = list(num), poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        if i >= len(num):
+def _pdivmod(a, b) -> tuple[list[int], list[int], int]:
+    """(q, r, m) with m*a == q*b + r, an integer m > 0 and deg r < deg b.
+
+    Each step scales the running remainder by lead(b)/g (g the gcd with the
+    coefficient being cancelled), negated if need be so that m stays
+    positive: r is then a positive multiple of the remainder over Q."""
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q = [0] * max(0, len(a) - db)
+    m = 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r.pop()
+        if not c:
             continue
-        c = num[i]
-        if c == 0:
-            continue
-        k = i - (len(den) - 1)
-        f = c / den[-1]
-        q[k] = f
-        for j, d in enumerate(den):
-            num[k + j] -= f * d
-    return poly_trim(q), poly_trim(num[: len(den) - 1])
+        g = gcd(c, lead)
+        s, t = lead // g, c // g  # s*c == t*lead
+        if s < 0:
+            s, t = -s, -t
+        if s != 1:
+            m *= s
+            r = [s * x for x in r]
+            q = [s * x for x in q]
+        q[k] = t
+        for j in range(db):
+            r[k + j] -= t * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r, m
 
 
-def poly_gcd(a, b):
-    a, b = poly_trim(a), poly_trim(b)
+def _gcd(a, b) -> tuple[int, ...]:
+    """gcd of two integer polynomials, primitive with a positive lead."""
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        a, b = b, _reduce(_pdivmod(a, b)[1])
+    a = _reduce(list(a))
+    return tuple(-c for c in a) if a and a[-1] < 0 else a
 
 
-def squarefree_part(p):
-    p = poly_trim(p)
-    if poly_degree(p) < 1:
-        return p
-    g = poly_gcd(p, poly_deriv(p))
-    if poly_degree(g) < 1:
-        return p
-    q, r = poly_divmod(p, g)
-    if r:
-        raise ArithmeticError("gcd(p, p') leaves a remainder in p")
-    return q
+def _eval(p, x) -> int:
+    """b^deg(p) * p(a/b) for x = a/b in lowest terms (b > 0), by Horner."""
+    a, b = x.numerator, x.denominator
+    acc, bk = p[-1], 1
+    for c in reversed(p[:-1]):
+        bk *= b
+        acc = acc * a + c * bk
+    return acc
 
 
-def is_squarefree(p) -> bool:
-    p = poly_trim(p)
-    return poly_degree(p) < 1 or poly_degree(poly_gcd(p, poly_deriv(p))) == 0
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def sturm_chain(p):
-    p = poly_trim(p)
-    chain = [p, poly_trim(poly_deriv(p))]
-    while chain[-1] and poly_degree(chain[-1]) >= 0:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
-
-
-def _variations(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _variations_at(chain, x: Fraction) -> int:
-    return _variations([poly_eval(c, x) for c in chain])
+def _variations(chain, x) -> int:
+    return _sign_changes(_eval(p, x) for p in chain)
 
 
 def _variations_at_inf(chain, positive: bool) -> int:
-    vals = []
-    for c in chain:
-        lead = c[-1]
-        deg = poly_degree(c)
-        vals.append(lead if (positive or deg % 2 == 0) else -lead)
-    return _variations(vals)
+    # len(p) odd <=> even degree
+    return _sign_changes(p[-1] if positive or len(p) % 2 else -p[-1] for p in chain)
+
+
+@lru_cache(maxsize=16)
+def _sturm(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Sturm chain of the squarefree part of a nonzero primitive p; the
+    first member is that squarefree part."""
+    sf = _primitive(squarefree_part(p))
+    chain = [sf]
+    if len(sf) > 1:
+        chain.append(_reduce(_deriv(sf)))
+    while len(chain[-1]) > 1:
+        chain.append(_reduce([-c for c in _pdivmod(chain[-2], chain[-1])[1]]))
+    return tuple(chain)
+
+
+def _count(chain, lo, hi) -> int:
+    """Roots of chain[0] in (lo, hi]; None endpoints mean -+infinity."""
+    va = _variations(chain, lo) if lo is not None else _variations_at_inf(chain, False)
+    vb = _variations(chain, hi) if hi is not None else _variations_at_inf(chain, True)
+    return va - vb
+
+
+def _sign(v) -> int:
+    return 1 if v > 0 else -1
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-list interface
+
+
+def poly_divmod(num, den):
+    """(quotient, remainder) of num by den over Q."""
+    num, den = poly_trim(num), poly_trim(den)
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not num:
+        return [], []
+    a, b = _primitive(num), _primitive(den)
+    q, r, m = _pdivmod(a, b)
+    scale = num[-1] / a[-1] / m  # num == scale * (q * b + r)
+    qscale = scale * b[-1] / den[-1]  # den == den[-1] / b[-1] * b
+    return [c * qscale for c in q], [c * scale for c in r]
+
+
+def poly_gcd(a, b):
+    """Monic gcd; [] when both are zero."""
+    g = _gcd(_primitive(a), _primitive(b))
+    return [Fraction(c, g[-1]) for c in g]
+
+
+def squarefree_part(p):
+    """p / gcd(p, p') times a positive rational, with coprime integer
+    coefficients: every root of p, each simple."""
+    p = _primitive(p)
+    if len(p) > 1:
+        g = poly_gcd(p, _deriv(p))
+        if poly_degree(g) >= 1:
+            q, r, _ = _pdivmod(p, _primitive(g))
+            if r:
+                raise ArithmeticError("gcd(p, p') leaves a remainder in p")
+            p = _reduce(q)
+    return [Fraction(c) for c in p]
+
+
+def is_squarefree(p) -> bool:
+    p = _primitive(p)
+    return len(p) < 2 or len(_sturm(p)[0]) == len(p)
 
 
 def count_real_roots(p, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Roots of the squarefree part in (lo, hi]; None endpoints mean +-infinity."""
-    p = squarefree_part(poly_trim(p))
-    if poly_degree(p) < 1:
+    p = _primitive(p)
+    if len(p) < 2:
         return 0
-    chain = sturm_chain(p)
-    va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
-    vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
-    return va - vb
-
-
-def root_bound(p) -> Fraction:
-    """Cauchy bound on the absolute value of all real roots."""
-    p = poly_trim(p)
-    lead = abs(p[-1])
-    return 1 + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
+    return _count(_sturm(p), lo, hi)
 
 
 def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     """Disjoint intervals (lo, hi], one squarefree-part root each; a rational
     root r yields the degenerate interval (r, r)."""
-    p = squarefree_part(poly_trim(p))
-    if poly_degree(p) < 1:
+    p = _primitive(p)
+    if len(p) < 2:
         return []
-    chain = sturm_chain(p)
-    bound = root_bound(p)
+    chain = _sturm(p)
+    sf = chain[0]
+    # Cauchy bound: every real root lies in (-bound, bound)
+    bound = 1 + Fraction(max(abs(c) for c in sf[:-1]), abs(sf[-1]))
 
     def var(x):
-        return _variations_at(chain, x)
+        return _variations(chain, x)
 
     out = []
 
@@ -149,16 +215,12 @@ def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        if poly_eval(p, mid) == 0:
+        if _eval(sf, mid) == 0:
             out.append((mid, mid))
             delta = (hi - lo) / 4
             while True:
                 a, b = mid - delta, mid + delta
-                if (
-                    poly_eval(p, a) != 0
-                    and poly_eval(p, b) != 0
-                    and var(a) - var(b) == 1
-                ):
+                if _eval(sf, a) != 0 and _eval(sf, b) != 0 and var(a) - var(b) == 1:
                     break
                 delta /= 2
             rec(lo, a, vlo, var(a))
@@ -177,49 +239,51 @@ def tighten_interval(p, interval: tuple[Fraction, Fraction], max_width: Fraction
     lo, hi = interval
     if lo == hi:
         return interval
-    p_sf = squarefree_part(poly_trim(p))
-    chain = sturm_chain(p_sf)
+    lo, hi = Fraction(lo), Fraction(hi)
+    chain = _sturm(_primitive(p))
+    vlo = _variations(chain, lo)
     while hi - lo > max_width:
         mid = (lo + hi) / 2
-        if poly_eval(p_sf, mid) == 0:
+        if _eval(chain[0], mid) == 0:
             return (mid, mid)
-        if _variations_at(chain, lo) - _variations_at(chain, mid) == 1:
+        vmid = _variations(chain, mid)
+        if vlo - vmid == 1:
             hi = mid
         else:
-            lo = mid
+            lo, vlo = mid, vmid
     return (lo, hi)
 
 
 def sign_at_root(p, interval: tuple[Fraction, Fraction], q) -> int:
     """Sign of q at the unique root of p inside the isolating interval.
 
-    Requires that the root of p is not a root of q; refines the interval by
-    bisection until q has constant sign on it."""
-    lo, hi = interval
-    q = poly_trim(q)
-    if lo == hi:
-        v = poly_eval(q, lo)
+    Raises ValueError when q vanishes at that root; otherwise refines the
+    interval by bisection until q has constant sign on it."""
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    q = _primitive(q)
+    if lo == hi or not q:
+        v = _eval(q, lo) if q else 0
         if v == 0:
             raise ValueError("q vanishes at the root")
-        return 1 if v > 0 else -1
-    p_sf = squarefree_part(poly_trim(p))
-    chain_p = sturm_chain(p_sf)
-    chain_q = sturm_chain(squarefree_part(q))
-
-    def count(chain, a, b):
-        return _variations_at(chain, a) - _variations_at(chain, b)
-
+        return _sign(v)
+    chain_p = _sturm(_primitive(p))
+    sf = chain_p[0]
+    chain_q = _sturm(q)
+    # bisection would never separate a root that p and q share
+    if _count(chain_q, lo, hi) > 0:
+        common = _gcd(sf, q)
+        if len(common) > 1 and _count(_sturm(common), lo, hi) > 0:
+            raise ValueError("q vanishes at the root")
+    vp_lo = _variations(chain_p, lo)
     while True:
-        if poly_eval(q, lo) != 0 and count(chain_q, lo, hi) == 0:
-            v = poly_eval(q, lo)
-            return 1 if v > 0 else -1
+        v = _eval(q, lo)
+        if v != 0 and _count(chain_q, lo, hi) == 0:
+            return _sign(v)
         mid = (lo + hi) / 2
-        if poly_eval(p_sf, mid) == 0:
-            v = poly_eval(q, mid)
-            if v == 0:
-                raise ValueError("q vanishes at the root")
-            return 1 if v > 0 else -1
-        if count(chain_p, lo, mid) == 1:
+        if _eval(sf, mid) == 0:
+            return _sign(_eval(q, mid))
+        vp_mid = _variations(chain_p, mid)
+        if vp_lo - vp_mid == 1:
             hi = mid
         else:
-            lo = mid
+            lo, vp_lo = mid, vp_mid

@@ -148,3 +148,30 @@ def test_frames_budget_equal_to_the_frame_count_is_exhaustive(capsys):
     assert results["frames_examined"] == 36 and results["exhausted"] is True
     code, out = _run(capsys, "frames", "--degree", "3", "--k", "1", "--budget", "0")
     assert code == 2 and "error" in json.loads(out)
+
+
+def test_dp1_rationality_classifies_once(capsys, monkeypatch):
+    import delpezzo.cli
+    from delpezzo import dp1
+
+    calls = {"classify_fibers": 0, "discriminant": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    classify = counted("classify_fibers", dp1.classify_fibers)
+    monkeypatch.setattr(dp1, "classify_fibers", classify)
+    monkeypatch.setattr(delpezzo.cli, "classify_fibers", classify)
+    monkeypatch.setattr(dp1, "discriminant", counted("discriminant", dp1.discriminant))
+    for f4, f6, euler in (("-1,-1,-3,3,3", "0,-1,0,-3,-1,0,0", 0), ("-2,0,-2,0,-2", "-1,0,-2,0,-2,0,2", -2)):
+        calls.update(classify_fibers=0, discriminant=0)
+        code, out = _run(capsys, "dp1", "rationality", f"--f4={f4}", f"--f6={f6}")
+        assert code == 0
+        assert calls == {"classify_fibers": 1, "discriminant": 1}
+        results = json.loads(out)["results"]
+        kinds = [f["kind"] for f in results["fibers"]]
+        assert results["euler"] == kinds.count("acnode") - kinds.count("crunode") == euler
