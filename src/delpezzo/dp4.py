@@ -251,16 +251,18 @@ def star_condition(subgroup) -> bool:
 # subgroup enumeration
 
 
-def _close_set(gens: frozenset[DP4Element]) -> frozenset[DP4Element]:
-    span = {IDENTITY}
-    queue = [IDENTITY]
-    while queue:
-        cur = queue.pop()
+def _extend(h: frozenset[DP4Element], gens: tuple[DP4Element, ...]) -> frozenset[DP4Element]:
+    """<gens> for a subgroup h of it, by Dimino's coset extension: grow a
+    union of right cosets h*r until right multiplication by every generator
+    maps it into itself."""
+    span = set(h)
+    reps = [IDENTITY]
+    for r in reps:
         for g in gens:
-            nxt = g * cur
-            if nxt not in span:
-                span.add(nxt)
-                queue.append(nxt)
+            t = r * g
+            if t not in span:
+                span.update(x * t for x in h)
+                reps.append(t)
     return frozenset(span)
 
 
@@ -298,16 +300,17 @@ def all_subgroups(elements: list[DP4Element]) -> list[frozenset[DP4Element]]:
     """Every subgroup of the (small) group given by its element list."""
     eset = frozenset(elements)
     trivial = frozenset([IDENTITY])
-    found = {trivial}
+    found = {trivial: ()}  # subgroup -> a generating tuple
     frontier = [trivial]
     while frontier:
         h = frontier.pop()
         for g in eset:
             if g in h:
                 continue
-            bigger = _close_set(frozenset(h | {g}))
+            gens = found[h] + (g,)
+            bigger = _extend(h, gens)
             if bigger <= eset and bigger not in found:
-                found.add(bigger)
+                found[bigger] = gens
                 frontier.append(bigger)
     return sorted(found, key=lambda s: (len(s), sorted((g.sign, g.perm) for g in s)))
 

@@ -121,18 +121,16 @@ class IsometryGroup:
         self.generators = tuple(generators)
         self.matrices = matrices  # (order, rank, rank) int64, canonically sorted
         self.order = matrices.shape[0]
+        self._keys = None  # int64 byte keys of `matrices`, built on first lookup
 
     def elements(self):
         for i in range(self.order):
             yield Isometry(self.lattice, self.matrices[i], _validate=False)
 
     def contains_matrix(self, mat: np.ndarray) -> bool:
-        key = np.ascontiguousarray(mat.astype(np.int64)).tobytes()
-        return key in self._keyset()
-
-    @lru_cache(maxsize=1)
-    def _keyset(self):
-        return {np.ascontiguousarray(m).tobytes() for m in self.matrices}
+        if self._keys is None:
+            self._keys = {m.tobytes() for m in self.matrices}
+        return np.ascontiguousarray(mat.astype(np.int64)).tobytes() in self._keys
 
     def __len__(self):
         return self.order
@@ -141,8 +139,21 @@ class IsometryGroup:
         return f"IsometryGroup(degree={self.lattice.degree}, order={self.order})"
 
 
+def _check_int8(arr: np.ndarray) -> None:
+    if arr.size and (arr.min() < -128 or arr.max() > 127):
+        raise ArithmeticError("group closure: a matrix entry does not fit int8")
+
+
 def close_group(lat: PicardLattice, gens, cap: int = 100000) -> IsometryGroup:
-    """Closure of the generated group, or CapExceeded carrying the partial size."""
+    """Closure of the generated group, or CapExceeded carrying the partial size.
+
+    Each element is held only as its int8 byte key.  An isometry fixing K
+    has entries of absolute value at most 17 (reached on degree 1, where
+    17 e_0 - 6(e_1 + ... + e_8) is an image of e_0), so an entry outside
+    int8 raises ArithmeticError.  On entries in [-128, 127] the int8 byte
+    order of two matrices equals the byte order of their little-endian int64
+    `tobytes()`, so `matrices` is sorted exactly as by the int64 keys.
+    """
     if cap < 1:
         raise ValueError("cap must be positive")
     gens = tuple(gens)
@@ -150,33 +161,31 @@ def close_group(lat: PicardLattice, gens, cap: int = 100000) -> IsometryGroup:
         if g.lattice != lat:
             raise NotAnIsometry("generator lives on a different lattice")
     d = lat.rank
-    gen_arr = (
-        np.stack([g.np for g in gens])
-        if gens
-        else np.zeros((0, d, d), dtype=np.int64)
-    )
-    frontier = np.eye(d, dtype=np.int64)[None]
-    # keys in the order of the rows of `blocks`; fresh rows are copied out
-    # by index, so no product block outlives its own step
-    seen = {frontier[0].tobytes(): None}
-    blocks = [frontier]
-    while gen_arr.shape[0]:
-        prods = np.einsum("gij,fjk->gfik", gen_arr, frontier).reshape(-1, d, d)
+    step = d * d
+    gen_arr = np.stack([g.np for g in gens]) if gens else np.zeros((0, d, d), dtype=np.int64)
+    _check_int8(gen_arr)
+    gen_arr = gen_arr.astype(np.int32)  # int8-range factors: |product entry| <= 9 * 128^2
+    frontier = np.eye(d, dtype=np.int32)[None]
+    seen = {frontier.astype(np.int8).tobytes()}
+    while gens:
+        prods = np.matmul(gen_arr[:, None], frontier[None]).reshape(-1, d, d)
+        _check_int8(prods)
+        buf = prods.astype(np.int8).tobytes()
         fresh = []
-        for i, m in enumerate(prods):
-            key = m.tobytes()
+        for i in range(prods.shape[0]):
+            key = buf[i * step : (i + 1) * step]
             if key not in seen:
-                seen[key] = None
+                seen.add(key)
                 fresh.append(i)
                 if len(seen) > cap:
                     raise CapExceeded(len(seen), cap)
         if not fresh:
             break
         frontier = prods[fresh]
-        blocks.append(frontier)
-    keys = list(seen)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return IsometryGroup(lat, gens, np.concatenate(blocks)[order])
+    keys = b"".join(sorted(seen))
+    seen.clear()  # free the keys before the int64 copy
+    mats = np.frombuffer(keys, dtype=np.int8).astype(np.int64)
+    return IsometryGroup(lat, gens, mats.reshape(-1, d, d))
 
 
 # ---------------------------------------------------------------------------

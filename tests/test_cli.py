@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import delpezzo
 from delpezzo.cli import main
 
 
@@ -175,3 +182,22 @@ def test_dp1_rationality_classifies_once(capsys, monkeypatch):
         results = json.loads(out)["results"]
         kinds = [f["kind"] for f in results["fibers"]]
         assert results["euler"] == kinds.count("acnode") - kinds.count("crunode") == euler
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_table_1_peak_rss():
+    """Table 1 closes W(E6) (51840 elements); a fresh process doing so peaks
+    below 100 MB."""
+    child = (
+        "import contextlib, io, resource\n"
+        "from delpezzo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['table', '--id', '1'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(delpezzo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+    code, maxrss_kib = map(int, out.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < 100

@@ -11,6 +11,7 @@ from delpezzo.dp4 import (
     NotAGroup,
     PencilSpec,
     UnsupportedForm,
+    _extend,
     all_subgroups,
     ambient_group,
     delta_criterion,
@@ -255,3 +256,71 @@ def test_wall_characteristic_degenerate():
         wall_characteristic(_pairs((1, 1), (2, 2), (1, 0)))
     with pytest.raises(ValueError):
         PencilSpec(((Fraction(0), Fraction(0)),))
+
+
+def _reference_close(gens):
+    """Closure taking every given element as a generator: the oracle."""
+    span = {IDENTITY}
+    queue = [IDENTITY]
+    while queue:
+        cur = queue.pop()
+        for g in gens:
+            nxt = g * cur
+            if nxt not in span:
+                span.add(nxt)
+                queue.append(nxt)
+    return frozenset(span)
+
+
+def _reference_all_subgroups(elements):
+    eset = frozenset(elements)
+    trivial = frozenset([IDENTITY])
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        h = frontier.pop()
+        for g in eset:
+            if g in h:
+                continue
+            bigger = _reference_close(frozenset(h | {g}))
+            if bigger <= eset and bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted((g.sign, g.perm) for g in s)))
+
+
+def test_all_subgroups_match_reference():
+    p231 = get_form("p2_31")
+    groups = [
+        ambient_group(get_form("q31_02")),
+        ambient_group(get_form("p2_12")),
+        _a_elements(),
+        [g for g in ambient_group(p231) if g.in_a()],
+    ]
+    for elements in groups:
+        assert all_subgroups(elements) == _reference_all_subgroups(elements)
+
+
+def test_extend_matches_reference_closure():
+    """_extend(h, gens + (g,)) == <h, g> for seeded pairs from the split
+    ambient.  Most pairs stay inside A x| Sym(S) for a random set S of at
+    most three pairs, so the reference closure of h | {g} stays cheap; the
+    last ones take a cyclic h and any g of the 1920 elements."""
+    split = ambient_group(get_form("split"))
+    assert len(split) == 1920
+    rng = random.Random(17)
+    sizes = set()
+    for case in range(200):
+        if case < 190:
+            moved = set(rng.sample(range(5), rng.randint(1, 3)))
+            pool = [x for x in split if all(x.perm[i] == i for i in range(5) if i not in moved)]
+            gens = tuple(rng.choice(pool) for _ in range(rng.randint(0, 2)))
+        else:
+            pool = split
+            gens = (rng.choice(split),)
+        h = _reference_close(gens)
+        g = rng.choice(pool)
+        got = _extend(h, gens + (g,))
+        assert got == _reference_close(h | {g})
+        sizes.add(len(got))
+    assert len(sizes) >= 10 and max(sizes) >= 960

@@ -1,13 +1,18 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 
+from delpezzo import tables
 from delpezzo._kernels import enumerate_cliques
+from delpezzo.confgraphs import hexagon_sigma_isometry
 from delpezzo.picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_roots
 from delpezzo.weyl import (
     CapExceeded,
     Isometry,
+    IsometryGroup,
     NotAnIsometry,
     NotARoot,
     _charpoly_int,
@@ -72,6 +77,117 @@ def test_cap_exceeded():
     with pytest.raises(CapExceeded) as err:
         close_group(lat, gens, cap=100)
     assert err.value.partial_size > 100
+
+
+def _reference_close_group(lat, gens, cap):
+    """The int64 einsum closure, kept as the oracle for `close_group`."""
+    gens = tuple(gens)
+    d = lat.rank
+    gen_arr = np.stack([g.np for g in gens]) if gens else np.zeros((0, d, d), dtype=np.int64)
+    frontier = np.eye(d, dtype=np.int64)[None]
+    seen = {frontier[0].tobytes(): None}
+    blocks = [frontier]
+    while gen_arr.shape[0]:
+        prods = np.einsum("gij,fjk->gfik", gen_arr, frontier).reshape(-1, d, d)
+        fresh = []
+        for i, m in enumerate(prods):
+            key = m.tobytes()
+            if key not in seen:
+                seen[key] = None
+                fresh.append(i)
+                if len(seen) > cap:
+                    raise CapExceeded(len(seen), cap)
+        if not fresh:
+            break
+        frontier = prods[fresh]
+        blocks.append(frontier)
+    keys = list(seen)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return IsometryGroup(lat, gens, np.concatenate(blocks)[order])
+
+
+def _closure_cases():
+    """(lattice, generators, cap): Weyl groups, seeded subgroups of W(E7) and
+    W(E8), the trivial group, table 2's sigma groups and capped closures."""
+    cases = []
+    for degree in (6, 5, 4, 3):
+        lat = PicardLattice(degree)
+        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)], 60000))
+    rng = random.Random(41)
+    for degree in (2, 1):
+        lat = PicardLattice(degree)
+        roots = enumerate_roots(lat)
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                g = identity(lat)
+                for _ in range(rng.randint(1, 2)):
+                    g = g * reflection(lat, rng.choice(roots))
+                gens.append(g)
+            cases.append((lat, gens, 3000))
+    cases.append((PicardLattice(3), [], 10))
+    lat6 = PicardLattice(6)
+    for pattern in tables.HEXAGON_FORMS:
+        cases.append((lat6, [hexagon_sigma_isometry(lat6, pattern)], 10))
+    for degree, cap in ((4, 100), (3, 1000), (2, 1)):
+        lat = PicardLattice(degree)
+        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)], cap))
+    return cases
+
+
+def test_close_group_matches_reference_closure():
+    capped = closed = 0
+    for lat, gens, cap in _closure_cases():
+        try:
+            want = _reference_close_group(lat, gens, cap)
+        except CapExceeded as err:
+            capped += 1
+            assert err.partial_size == cap + 1
+            with pytest.raises(CapExceeded) as got:
+                close_group(lat, gens, cap=cap)
+            assert (got.value.partial_size, got.value.cap) == (cap + 1, cap)
+            continue
+        closed += 1
+        got = close_group(lat, gens, cap=cap)
+        assert got.matrices.dtype == want.matrices.dtype == np.int64
+        assert got.matrices.shape == want.matrices.shape
+        assert got.matrices.tobytes() == want.matrices.tobytes()
+        assert got.order == want.order and got.generators == want.generators
+    assert capped >= 3 and closed >= 25
+
+
+def test_close_group_rejects_entries_outside_int8():
+    lat = PicardLattice(3)
+    big = Isometry(lat, 200 * np.eye(lat.rank, dtype=np.int64), _validate=False)
+    with pytest.raises(ArithmeticError):
+        close_group(lat, [big], cap=10)
+    # in range itself, but its square is not
+    g = Isometry(lat, 12 * np.eye(lat.rank, dtype=np.int64), _validate=False)
+    with pytest.raises(ArithmeticError):
+        close_group(lat, [g], cap=10)
+
+
+def test_membership_of_alternating_groups():
+    from delpezzo.minimality import ActionContext
+
+    lat = PicardLattice(6)
+    weyl = full_weyl_group(6)
+    sigmas = [hexagon_sigma_isometry(lat, p) for p in ("fig_a", "fig_b", "fig_c")]
+    ctxs = [ActionContext(lat, close_group(lat, [s], cap=10), sigma=s) for s in sigmas]
+    members = [{m.tobytes() for m in ctx.group.matrices} for ctx in ctxs]
+    assert len({frozenset(m) for m in members}) == 3
+    for _ in range(3):
+        for ctx, mine in zip(ctxs, members):
+            for m in weyl.matrices:
+                assert ctx.group.contains_matrix(m) == (m.tobytes() in mine)
+            assert ctx.group.contains_matrix(ctx.sigma.np)
+    with pytest.raises(ValueError):
+        ActionContext(lat, ctxs[0].group, sigma=sigmas[1])
+    # a group no longer referenced is freed, keys and all
+    dropped = weakref.ref(ctxs[0].group)
+    del ctxs[0]
+    gc.collect()
+    assert dropped() is None
 
 
 def test_fingerprint_examples():
