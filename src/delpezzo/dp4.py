@@ -107,11 +107,6 @@ def sign_vector(bits) -> DP4Element:
     return DP4Element(_check_sign(bits))
 
 
-def perm_element(images_1based) -> DP4Element:
-    """Element (0, tau) from 1-based images, e.g. (1,3,2,5,4) for (23)(45)."""
-    return DP4Element((0, 0, 0, 0, 0), tuple(i - 1 for i in images_1based))
-
-
 # ---------------------------------------------------------------------------
 # real forms: Galois action on the ten conic bundles, in the same encoding
 

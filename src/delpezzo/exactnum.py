@@ -7,7 +7,7 @@ canonical residue modulo the n-th cyclotomic polynomial, so equality of field
 elements is literal equality of (numerators, denominator) at the same
 conductor.  Complex conjugation is the ring map zeta -> zeta^(n-1), and signs
 of real elements are decided exactly: zero from the representation, nonzero
-by adaptive interval evaluation.
+by Sturm isolation of 2 cos(2 pi/n) in `realroots`.
 
 Integer and rational linear systems, here and in the lattice modules, go
 through fraction-free integer elimination (`_echelon`, after Bareiss 1968)
@@ -16,10 +16,11 @@ and the exact solver built on it (`_solve`); no floating point is involved.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+from .realroots import isolate_real_roots, sign_at_root
 
 
 class NonRealInput(ValueError):
@@ -426,12 +427,29 @@ def conj(x: CycloNum) -> CycloNum:
     return _new(x.n, _substitute(x.num, x.n, x.n - 1, len(x.num)), x.den)
 
 
+def _dickson_sum(coeffs) -> list[int]:
+    """sum coeffs[k] * D_k(t), ascending, for the Dickson polynomials with
+    z^k + z^-k = D_k(z + 1/z): D_0 = 2, D_1 = t, D_k = t D_(k-1) - D_(k-2)."""
+    out = [0] * len(coeffs)
+    prev, cur = [0, 1], [2]  # D_-1 = t and D_0
+    for c in coeffs:
+        for i, d in enumerate(cur):
+            out[i] += c * d
+        nxt = [0] + cur
+        for i, d in enumerate(prev):
+            nxt[i] -= d
+        prev, cur = cur, nxt
+    return out
+
+
 def real_sign(x: CycloNum) -> int:
     """Sign of a real cyclotomic number under zeta_n -> exp(2*pi*i/n).
 
-    Zero is decided exactly from the representation; a nonzero sign is
-    obtained by interval evaluation at increasing precision, which
-    terminates because the value is a nonzero real algebraic number.
+    Zero and rational signs are read from the representation.  Otherwise
+    2 den x = sum num_k (zeta^k + zeta^-k) = P(c) with P = sum num_k D_k and
+    c = 2 cos(2 pi/n), the largest root of Psi_n, where
+    Phi_n(z) = z^(phi/2) Psi_n(z + 1/z) (Lehmer 1933); the Sturm core of
+    `realroots` isolates c and decides the sign of P there exactly.
     """
     if conj(x) != x:
         raise NonRealInput(f"{x!r} is not fixed by conjugation")
@@ -439,28 +457,11 @@ def real_sign(x: CycloNum) -> int:
         return 0
     if x.is_rational():
         return 1 if x.num[0] > 0 else -1
-    import mpmath
-
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        prec = 64
-        while True:
-            iv.prec = prec
-            two_pi = 2 * iv.pi
-            total = iv.mpf(0)  # the value times den > 0, which has its sign
-            for k, c in enumerate(x.num):
-                if c:
-                    total += iv.mpf(c) * iv.cos(two_pi * k / x.n)
-            if total.a > 0:
-                return 1
-            if total.b < 0:
-                return -1
-            prec *= 2
-            if prec > 1 << 16:
-                raise ArithmeticError("interval refinement failed to separate from zero")
-    finally:
-        iv.prec = saved
+    a = cyclotomic_poly(x.n)  # palindromic of degree phi = 2m
+    m = len(x.num) // 2
+    psi = _dickson_sum(a[m:])
+    psi[0] -= a[m]  # Psi_n = a_m + sum a_(m+k) D_k: a_m once, not a_m D_0
+    return sign_at_root(psi, isolate_real_roots(psi)[-1], _dickson_sum(x.num))
 
 
 def float_value(x: CycloNum) -> complex:
@@ -475,17 +476,6 @@ def float_value(x: CycloNum) -> complex:
 # ---------------------------------------------------------------------------
 # literal parser: rationals "p/q" and cyclotomic monomials "z<n>^<k>" composed
 # with +, -, * and parentheses
-
-
-def context_conductor() -> int | None:
-    """Global conductor override (DELPEZZO_CONDUCTOR); None means untouched."""
-    raw = os.environ.get("DELPEZZO_CONDUCTOR")
-    if not raw:
-        return None
-    n = int(raw)
-    if n < 1:
-        raise ValueError("DELPEZZO_CONDUCTOR must be a positive integer")
-    return n
 
 
 def _tokenize(text: str):
@@ -541,7 +531,7 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_scalar(text: str, conductor: int | None = None) -> CycloNum:
+def parse_scalar(text: str) -> CycloNum:
     """Parse 'p/q' / 'z<n>^<k>' expressions combined with +, -, * and parens."""
     tokens = _tokenize(text)
     pos = 0
@@ -598,7 +588,4 @@ def parse_scalar(text: str, conductor: int | None = None) -> CycloNum:
     result = parse_sum()
     if pos != len(tokens):
         raise ParseError(f"trailing tokens in scalar literal {text!r}")
-    target = conductor if conductor is not None else context_conductor()
-    if target is not None and target % result.n == 0:
-        result = result.embed(target)
     return result

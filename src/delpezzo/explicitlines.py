@@ -312,9 +312,6 @@ class WeightedLine:
             + q[5] * y * z
         )
 
-    def eval_lin(self, pt) -> CycloNum:
-        return sum((c * v for c, v in zip(self.lin, pt)), ZERO)
-
     def plane_points(self) -> tuple[tuple[CycloNum, ...], tuple[CycloNum, ...]]:
         """Two independent points of the plane line l = 0."""
         a, b, c = self.lin

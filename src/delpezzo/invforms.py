@@ -47,16 +47,6 @@ class BinaryForm:
     def rational_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(c.as_rational() for c in self.coeffs)
 
-    def evaluate(self, x, y) -> CycloNum:
-        if not isinstance(x, CycloNum):
-            x = CycloNum.rational(x)
-        if not isinstance(y, CycloNum):
-            y = CycloNum.rational(y)
-        acc = _ZERO
-        for i, c in enumerate(self.coeffs):
-            acc = acc + c * x ** (self.degree - i) * y ** i
-        return acc
-
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         if other.degree != self.degree:
             raise ValueError("cannot add forms of different degrees")

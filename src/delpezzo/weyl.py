@@ -121,16 +121,13 @@ class IsometryGroup:
         self.generators = tuple(generators)
         self.matrices = matrices  # (order, rank, rank) int64, canonically sorted
         self.order = matrices.shape[0]
-        self._keys = None  # int64 byte keys of `matrices`, built on first lookup
 
     def elements(self):
         for i in range(self.order):
             yield Isometry(self.lattice, self.matrices[i], _validate=False)
 
     def contains_matrix(self, mat: np.ndarray) -> bool:
-        if self._keys is None:
-            self._keys = {m.tobytes() for m in self.matrices}
-        return np.ascontiguousarray(mat.astype(np.int64)).tobytes() in self._keys
+        return bool((self.matrices == mat).all(axis=(1, 2)).any())
 
     def __len__(self):
         return self.order

@@ -183,7 +183,7 @@ def test_membership_of_alternating_groups():
             assert ctx.group.contains_matrix(ctx.sigma.np)
     with pytest.raises(ValueError):
         ActionContext(lat, ctxs[0].group, sigma=sigmas[1])
-    # a group no longer referenced is freed, keys and all
+    # a group no longer referenced is freed
     dropped = weakref.ref(ctxs[0].group)
     del ctxs[0]
     gc.collect()
