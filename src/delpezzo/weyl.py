@@ -10,7 +10,7 @@ named conjugacy classes used in the degree 1-4 classifications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -119,8 +119,13 @@ class IsometryGroup:
     def __init__(self, lattice: PicardLattice, generators, matrices: np.ndarray):
         self.lattice = lattice
         self.generators = tuple(generators)
-        self.matrices = matrices  # (order, rank, rank) int64, canonically sorted
+        self._raw = matrices  # (order, rank, rank) integers, canonically sorted
         self.order = matrices.shape[0]
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The elements as an (order, rank, rank) int64 array, built on first use."""
+        return np.asarray(self._raw, dtype=np.int64)
 
     def elements(self):
         for i in range(self.order):
@@ -180,9 +185,8 @@ def close_group(lat: PicardLattice, gens, cap: int = 100000) -> IsometryGroup:
             break
         frontier = prods[fresh]
     keys = b"".join(sorted(seen))
-    seen.clear()  # free the keys before the int64 copy
-    mats = np.frombuffer(keys, dtype=np.int8).astype(np.int64)
-    return IsometryGroup(lat, gens, mats.reshape(-1, d, d))
+    seen.clear()  # free the keys; `matrices` builds the int64 copy only when read
+    return IsometryGroup(lat, gens, np.frombuffer(keys, dtype=np.int8).reshape(-1, d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +371,11 @@ def involution_frames(lat: PicardLattice, k: int, budget: int = 200000) -> Frame
     lines = np.array([e.coords for e in enumerate_exceptional(lat)], dtype=np.int64)
     zero_masks = (pos @ lat.gram @ lines.T) == 0
     counts = _kernels.fixed_counts(zero_masks, frames)
-    reps: dict[int, np.ndarray] = {}
-    for idx in range(frames.shape[0]):
-        c = int(counts[idx])
-        if c not in reps:
-            reps[c] = frames[idx]
+    # return_index gives each count's first frame, in increasing count order
+    values, first = np.unique(counts, return_index=True)
     fps = []
-    for c in sorted(reps, reverse=True):
-        mat = frame_matrix(lat, pos[reps[c]])
+    for c, idx in zip(values[::-1].tolist(), first[::-1].tolist()):
+        mat = frame_matrix(lat, pos[frames[idx]])
         iso = Isometry(lat, mat, _validate=False)
         fp = fingerprint(lat, iso)
         if fp.fixed_line_count != c:

@@ -184,20 +184,34 @@ def test_dp1_rationality_classifies_once(capsys, monkeypatch):
         assert results["euler"] == kinds.count("acnode") - kinds.count("crunode") == euler
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
-def test_table_1_peak_rss():
-    """Table 1 closes W(E6) (51840 elements); a fresh process doing so peaks
-    below 100 MB."""
-    child = (
-        "import contextlib, io, resource\n"
-        "from delpezzo import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['table', '--id', '1'])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+def _peak_mb(body: str) -> float:
+    """VmHWM of a fresh interpreter after it runs body.
+
+    ru_maxrss would not do: Linux carries the spawning process's high-water
+    mark across vfork/exec, so it reads the size of the test process.
+    """
+    child = body + (
+        "for line in open('/proc/self/status'):\n"
+        "    if line.startswith('VmHWM:'):\n"
+        "        print(int(line.split()[1]))\n"
     )
     src = str(Path(delpezzo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
-    code, maxrss_kib = map(int, out.stdout.split())
-    assert code == 0
-    assert maxrss_kib / 1024 < 100
+    return int(out.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def test_table_1_peak_rss():
+    """Table 1 closes W(E6) (51840 elements) only for its order; a fresh
+    process doing so peaks below 100 MB, and less than 25 MB above a
+    process that only imports the CLI."""
+    table = _peak_mb(
+        "import contextlib, io\n"
+        "from delpezzo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['table', '--id', '1']) == 0\n"
+    )
+    bare = _peak_mb("import delpezzo.cli\n")
+    assert table < 100
+    assert table - bare < 25, (table, bare)

@@ -1,8 +1,10 @@
+from array import array
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from delpezzo import _kernels
 from delpezzo._kernels import enumerate_cliques, fixed_counts
 from delpezzo.picard import PicardLattice, enumerate_exceptional
 from delpezzo.weyl import _count_fixed_lines, _positive_roots, frame_matrix
@@ -26,6 +28,95 @@ def _cliques_by_combinations(adj, k):
         if all(rows[a][b] for a, b in combinations(c, 2))
     ]
     return np.array(found, dtype=np.int32).reshape(len(found), k)
+
+
+def _cliques_by_recursion(adj, k, cap):
+    """The depth-first scan with Python ints as vertex bitsets."""
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.int32), False
+    upper = np.triu(np.asarray(adj, dtype=bool), 1)
+    nbr = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in upper]
+    flat = array("i")
+    full = cap * k
+    last = k - 1
+
+    def rec(chosen, cands):
+        depth = len(chosen)
+        while cands.bit_count() > last - depth:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            if depth == last:
+                if len(flat) == full:
+                    return True
+                flat.extend(chosen)
+                flat.append(v)
+            elif rec(chosen + (v,), cands & nbr[v]):
+                return True
+        return False
+
+    truncated = rec((), (1 << upper.shape[0]) - 1)
+    return np.array(flat, dtype=np.int32).reshape(-1, k), truncated
+
+
+def _fixed_counts_by_bools(zero_masks, frames):
+    """Shared mask positions per frame, one boolean gather per chunk of frames."""
+    m = frames.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
+    if frames.shape[1] == 0:
+        return np.full(m, zero_masks.shape[1], dtype=np.int64)
+    out = np.empty(m, dtype=np.int64)
+    chunk = max(1, (1 << 22) // max(1, zero_masks.shape[1] * frames.shape[1]))
+    for start in range(0, m, chunk):
+        sel = zero_masks[frames[start : start + chunk]]
+        out[start : start + chunk] = sel.all(axis=1).sum(axis=1)
+    return out
+
+
+def _random_graph(rng, n):
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.6), 1)
+    return upper | upper.T
+
+
+def _assert_same_scan(got, want):
+    (frames, truncated), (ref, ref_truncated) = got, want
+    assert frames.dtype == ref.dtype == np.int32
+    assert frames.shape == ref.shape
+    assert frames.flags.c_contiguous
+    assert frames.tobytes() == ref.tobytes()
+    assert truncated is ref_truncated
+
+
+def _check_against_recursion(rng, trials):
+    for _ in range(trials):
+        n = int(rng.integers(0, 41))
+        adj = _random_graph(rng, n)
+        for k in range(7):
+            total = _cliques_by_recursion(adj, k, 10**6)[0].shape[0]
+            for cap in sorted({1, 2, max(1, total - 1), max(1, total), total + 1, 10**6}):
+                _assert_same_scan(enumerate_cliques(adj, k, cap), _cliques_by_recursion(adj, k, cap))
+
+
+def test_cliques_match_the_recursion_on_random_graphs():
+    _check_against_recursion(np.random.default_rng(20261018), 40)
+
+
+def test_cliques_match_the_recursion_across_chunks(monkeypatch):
+    monkeypatch.setattr(_kernels, "_CHUNK", 3)
+    _check_against_recursion(np.random.default_rng(7), 12)
+
+
+def test_fixed_counts_match_the_boolean_gather():
+    rng = np.random.default_rng(5)
+    for width in (0, 1, 63, 64, 65, 127, 128, 240):
+        n_rows = int(rng.integers(1, 30))
+        masks = rng.random((n_rows, width)) < rng.uniform(0.3, 0.95)
+        for k in range(5):
+            frames = rng.integers(0, n_rows, size=(int(rng.integers(0, 50)), k)).astype(np.int32)
+            counts = fixed_counts(masks, frames)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == _fixed_counts_by_bools(masks, frames).tolist(), (width, k)
 
 
 def test_clique_paths_agree():
