@@ -3,6 +3,10 @@
 Every subcommand prints one deterministic JSON report (or DOT on request):
 {schema_version, command, inputs, results, checks}; the process exits 0
 when all embedded checks pass, 1 otherwise, and 2 on usage errors.
+
+A request pays only for its subcommand: `build_parser` adds just the
+subcommand that argv names, and each handler imports the modules it uses
+when it runs, so `import delpezzo.cli` loads no numpy.
 """
 
 from __future__ import annotations
@@ -12,57 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import tables
-from .confgraphs import (
-    DP5_PATTERNS,
-    SIGMA_PATTERNS,
-    build_graph,
-    colored_automorphisms,
-    dp5_sigma_isometry,
-    hexagon_minimal_subgroups,
-    hexagon_sigma_isometry,
-)
-from .dp1 import DP1Surface, _euler_verdict, a22_element, classify_fibers, find_star_configurations
-from .dp4 import (
-    DP4Element,
-    PencilSpec,
-    ambient_group,
-    dp4_invariant_rank,
-    enumerate_strongly_minimal,
-    get_form,
-    wall_characteristic,
-)
-from .exactnum import ParseError, parse_scalar
-from .explicitlines import (
-    clebsch_lines,
-    clebsch_twist,
-    count_real_lines,
-    count_real_tritangents,
-    dp2_orbit_report,
-    fermat_lines,
-    fermat_twist,
-)
-from .invforms import BinaryForm, group_from_label, invariant_subspace
-from .minimality import ActionContext, find_contractible_set, invariant_rank, is_strongly_minimal
-from .picard import (
-    LatticeClass,
-    PicardLattice,
-    UnsupportedDegree,
-    enumerate_exceptional,
-    enumerate_roots,
-    tritangent_trios,
-)
-from .weyl import (
-    Isometry,
-    classify_named,
-    close_group,
-    fingerprint,
-    full_weyl_group,
-    involution_frames,
-    reflection,
-)
 
 SCHEMA_VERSION = "1"
 
@@ -101,6 +55,8 @@ def _fingerprint_json(fp):
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
+    from .exactnum import parse_scalar
+
     out = []
     for chunk in text.split(","):
         val = parse_scalar(chunk.strip())
@@ -123,6 +79,8 @@ def _load_json_arg(text: str):
 
 
 def cmd_lattice(args):
+    from .picard import PicardLattice, enumerate_exceptional, enumerate_roots, tritangent_trios
+
     lat = PicardLattice(args.degree)
     if args.what == "roots":
         data = [list(c.coords) for c in enumerate_roots(lat)]
@@ -138,6 +96,9 @@ def cmd_lattice(args):
 
 
 def cmd_frames(args):
+    from .picard import PicardLattice
+    from .weyl import involution_frames
+
     lat = PicardLattice(args.degree)
     scan = involution_frames(lat, args.k, budget=args.budget)
     return _report(
@@ -152,6 +113,9 @@ def cmd_frames(args):
 
 
 def cmd_classify_involution(args):
+    from .picard import LatticeClass, PicardLattice
+    from .weyl import classify_named, fingerprint, reflection
+
     lat = PicardLattice(args.degree)
     roots = _load_json_arg(args.roots)
     iso = None
@@ -169,6 +133,12 @@ def cmd_classify_involution(args):
 
 
 def cmd_minimal(args):
+    import numpy as np
+
+    from .minimality import ActionContext, find_contractible_set, invariant_rank, is_strongly_minimal
+    from .picard import PicardLattice
+    from .weyl import Isometry, close_group
+
     lat = PicardLattice(args.degree)
     mats = _load_json_arg(args.generators)
     gens = [Isometry(lat, np.array(m, dtype=np.int64)) for m in mats]
@@ -190,6 +160,17 @@ def cmd_minimal(args):
 
 
 def cmd_graph(args):
+    from .confgraphs import (
+        DP5_PATTERNS,
+        SIGMA_PATTERNS,
+        build_graph,
+        colored_automorphisms,
+        dp5_sigma_isometry,
+        hexagon_minimal_subgroups,
+        hexagon_sigma_isometry,
+    )
+    from .picard import PicardLattice
+
     lat = PicardLattice(args.degree)
     if args.degree == 6:
         if args.sigma not in SIGMA_PATTERNS:
@@ -238,6 +219,16 @@ def _graph_dot(graph) -> str:
 
 
 def cmd_dp4(args):
+    from .dp4 import (
+        DP4Element,
+        PencilSpec,
+        ambient_group,
+        dp4_invariant_rank,
+        enumerate_strongly_minimal,
+        get_form,
+        wall_characteristic,
+    )
+
     form = get_form(args.form) if args.form else None
     if args.characteristic:
         pairs = _load_json_arg(args.characteristic)
@@ -281,6 +272,15 @@ def cmd_dp4(args):
 
 
 def cmd_cubic(args):
+    from .explicitlines import (
+        clebsch_lines,
+        clebsch_twist,
+        count_real_lines,
+        count_real_tritangents,
+        fermat_lines,
+        fermat_twist,
+    )
+
     lines = fermat_lines() if args.model == "fermat" else clebsch_lines()
     twist = fermat_twist(args.twist) if args.model == "fermat" else clebsch_twist(args.twist)
     results = {"model": args.model, "twist": args.twist}
@@ -298,6 +298,8 @@ def cmd_cubic(args):
 
 
 def cmd_dp2_example(args):
+    from .explicitlines import dp2_orbit_report
+
     rep = dp2_orbit_report(args.w_sign)
     results = {
         "w_sign": rep["w_sign"],
@@ -312,6 +314,8 @@ def cmd_dp2_example(args):
 
 
 def cmd_invariants(args):
+    from .invforms import group_from_label, invariant_subspace
+
     group = group_from_label(args.group)
     basis = invariant_subspace(group, args.degree)
     return _report(
@@ -325,6 +329,9 @@ def cmd_invariants(args):
 
 
 def cmd_dp1_rationality(args):
+    from .dp1 import DP1Surface, _euler_verdict, classify_fibers
+    from .invforms import BinaryForm
+
     f4 = BinaryForm.from_rational(_parse_rational_list(args.f4))
     f6 = BinaryForm.from_rational(_parse_rational_list(args.f6))
     surf = DP1Surface(f4, f6)
@@ -350,6 +357,12 @@ def cmd_dp1_rationality(args):
 
 
 def cmd_dp1_star(args):
+    import numpy as np
+
+    from .dp1 import a22_element, find_star_configurations
+    from .picard import PicardLattice
+    from .weyl import Isometry
+
     lat = PicardLattice(1)
     if args.generator:
         mats = _load_json_arg(args.generator)
@@ -380,6 +393,8 @@ def reproduce_table(table_id: int):
     partial = []  # k of every frame scan that stopped at its budget
 
     def scan_frames(lat, k):
+        from .weyl import involution_frames
+
         scan = involution_frames(lat, k)
         if not scan.exhausted:
             partial.append(k)
@@ -392,12 +407,19 @@ def reproduce_table(table_id: int):
 
 def _table_report(table_id: int, scan_frames):
     if table_id == 1:
+        from .weyl import full_weyl_group
+
         checks = []
         for degree, row in sorted(tables.WEYL_ORDERS.items(), reverse=True):
             order = full_weyl_group(degree).order
             checks.append(_check(f"weyl_order_degree_{degree}", row["value"], order, row["source"]))
         return _report("table", {"id": 1}, {"orders": {d: full_weyl_group(d).order for d in (6, 5, 4, 3)}}, checks)
     if table_id == 2:
+        from .confgraphs import build_graph, hexagon_minimal_subgroups, hexagon_sigma_isometry
+        from .minimality import ActionContext, invariant_rank
+        from .picard import PicardLattice
+        from .weyl import close_group
+
         lat = PicardLattice(6)
         checks = []
         results = {}
@@ -424,6 +446,8 @@ def _table_report(table_id: int, scan_frames):
                 )
         return _report("table", {"id": 2}, results, checks)
     if table_id == 3:
+        from .picard import PicardLattice
+
         lat = PicardLattice(3)
         checks = []
         results = {}
@@ -442,6 +466,9 @@ def _table_report(table_id: int, scan_frames):
             )
         return _report("table", {"id": 3}, results, checks)
     if table_id == 4:
+        from .dp4 import PencilSpec, wall_characteristic
+        from .picard import PicardLattice
+
         lat = PicardLattice(4)
         checks = []
         line_counts = {}
@@ -461,6 +488,8 @@ def _table_report(table_id: int, scan_frames):
             "table", {"id": 4}, {"line_counts": line_counts, "characteristics": xi_results}, checks
         )
     if table_id == 5:
+        from .explicitlines import clebsch_lines, clebsch_twist, count_real_lines
+
         lines = clebsch_lines()
         checks = []
         results = {}
@@ -470,6 +499,8 @@ def _table_report(table_id: int, scan_frames):
             checks.append(_check(f"clebsch_{twist}", row["value"], count, row["source"]))
         return _report("table", {"id": 5}, results, checks)
     if table_id in (6, 7):
+        from .picard import PicardLattice
+
         degree = 2 if table_id == 6 else 1
         lat = PicardLattice(degree)
         expected_rows = tables.DP2_PAIRS if table_id == 6 else tables.DP1_PAIRS
@@ -507,93 +538,125 @@ def cmd_table(args):
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = (
+    "lattice", "frames", "classify-involution", "minimal", "graph", "dp4", "cubic",
+    "dp2-example", "invariants", "dp1", "table",
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv.
+
+    When argv[0] names a subcommand, only that subcommand's parser is
+    built: building all of them costs about as much as a typical
+    in-process request.
+    Anything else (no argv, -h, an unknown name) gets the full tree, whose
+    usage and error messages list every subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="delpezzo",
         description="Exact lattice/group/coordinate computations for real del Pezzo surfaces",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    if only is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the full tree's usage line.  Not set on the full tree itself: with
+        # no command given, its error names the argument "command".
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS))
 
-    p = sub.add_parser("lattice", help="enumerate roots, lines, or tritangent trios")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--what", choices=("roots", "lines", "trios"), required=True)
-    p.set_defaults(func=cmd_lattice)
+    if only in (None, "lattice"):
+        p = sub.add_parser("lattice", help="enumerate roots, lines, or tritangent trios")
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--what", choices=("roots", "lines", "trios"), required=True)
+        p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("frames", help="fingerprints of orthogonal reflection frames")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=200000)
-    p.set_defaults(func=cmd_frames)
+    if only in (None, "frames"):
+        p = sub.add_parser("frames", help="fingerprints of orthogonal reflection frames")
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--budget", type=int, default=200000)
+        p.set_defaults(func=cmd_frames)
 
-    p = sub.add_parser("classify-involution", help="fingerprint a product of root reflections")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--roots", required=True, help="JSON list of root coordinate vectors (or a file)")
-    p.set_defaults(func=cmd_classify_involution)
+    if only in (None, "classify-involution"):
+        p = sub.add_parser("classify-involution", help="fingerprint a product of root reflections")
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--roots", required=True, help="JSON list of root coordinate vectors (or a file)")
+        p.set_defaults(func=cmd_classify_involution)
 
-    p = sub.add_parser("minimal", help="invariant rank and contraction search")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--generators", required=True, help="JSON list of integer matrices (or a file)")
-    p.add_argument("--sigma", type=int, default=None, help="index of the real structure among the generators")
-    p.add_argument("--cap", type=int, default=100000)
-    p.set_defaults(func=cmd_minimal)
+    if only in (None, "minimal"):
+        p = sub.add_parser("minimal", help="invariant rank and contraction search")
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--generators", required=True, help="JSON list of integer matrices (or a file)")
+        p.add_argument("--sigma", type=int, default=None, help="index of the real structure among the generators")
+        p.add_argument("--cap", type=int, default=100000)
+        p.set_defaults(func=cmd_minimal)
 
-    p = sub.add_parser("graph", help="colored incidence graph (degrees 5 and 6)")
-    p.add_argument("--degree", type=int, choices=(5, 6), required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=cmd_graph)
+    if only in (None, "graph"):
+        p = sub.add_parser("graph", help="colored incidence graph (degrees 5 and 6)")
+        p.add_argument("--degree", type=int, choices=(5, 6), required=True)
+        p.add_argument("--sigma", required=True)
+        p.add_argument("--dot", action="store_true")
+        p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("dp4", help="degree-4 real forms and pencil characteristics")
-    p.add_argument("--form", default=None)
-    p.add_argument("--enumerate-minimal", action="store_true")
-    p.add_argument("--characteristic", default=None, help="JSON [[a,b],...] of rational pairs")
-    p.add_argument("--rank-elements", default=None, help="JSON [{sign, perm}] subgroup")
-    p.set_defaults(func=cmd_dp4)
+    if only in (None, "dp4"):
+        p = sub.add_parser("dp4", help="degree-4 real forms and pencil characteristics")
+        p.add_argument("--form", default=None)
+        p.add_argument("--enumerate-minimal", action="store_true")
+        p.add_argument("--characteristic", default=None, help="JSON [[a,b],...] of rational pairs")
+        p.add_argument("--rank-elements", default=None, help="JSON [{sign, perm}] subgroup")
+        p.set_defaults(func=cmd_dp4)
 
-    p = sub.add_parser("cubic", help="real lines/tritangents on Fermat and Clebsch cubics")
-    p.add_argument("--model", choices=("fermat", "clebsch"), required=True)
-    p.add_argument("--twist", choices=("id", "t12", "t1234"), default="id")
-    p.add_argument("--count-real-lines", action="store_true")
-    p.add_argument("--count-real-tritangents", action="store_true")
-    p.set_defaults(func=cmd_cubic)
+    if only in (None, "cubic"):
+        p = sub.add_parser("cubic", help="real lines/tritangents on Fermat and Clebsch cubics")
+        p.add_argument("--model", choices=("fermat", "clebsch"), required=True)
+        p.add_argument("--twist", choices=("id", "t12", "t1234"), default="id")
+        p.add_argument("--count-real-lines", action="store_true")
+        p.add_argument("--count-real-tritangents", action="store_true")
+        p.set_defaults(func=cmd_cubic)
 
-    p = sub.add_parser("dp2-example", help="orbits of the order-4 action on the 56 lines")
-    p.add_argument("--orbits", action="store_true")
-    p.add_argument("--w-sign", type=int, choices=(1, -1), default=1)
-    p.set_defaults(func=cmd_dp2_example)
+    if only in (None, "dp2-example"):
+        p = sub.add_parser("dp2-example", help="orbits of the order-4 action on the 56 lines")
+        p.add_argument("--orbits", action="store_true")
+        p.add_argument("--w-sign", type=int, choices=(1, -1), default=1)
+        p.set_defaults(func=cmd_dp2_example)
 
-    p = sub.add_parser("invariants", help="invariant binary forms of 2D point groups")
-    p.add_argument("--group", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=cmd_invariants)
+    if only in (None, "invariants"):
+        p = sub.add_parser("invariants", help="invariant binary forms of 2D point groups")
+        p.add_argument("--group", required=True)
+        p.add_argument("--degree", type=int, required=True)
+        p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("dp1", help="degree-1 fibers/rationality and star configurations")
-    dp1_sub = p.add_subparsers(dest="dp1_command", required=True)
-    pr = dp1_sub.add_parser("rationality")
-    pr.add_argument("--f4", required=True, help="five comma-separated rational coefficients")
-    pr.add_argument("--f6", required=True, help="seven comma-separated rational coefficients")
-    pr.set_defaults(func=cmd_dp1_rationality)
-    ps = dp1_sub.add_parser("star")
-    ps.add_argument("--generator", default=None, help="JSON 9x9 integer matrix (or a file)")
-    ps.add_argument("--reference", action="store_true")
-    ps.set_defaults(func=cmd_dp1_star)
+    if only in (None, "dp1"):
+        p = sub.add_parser("dp1", help="degree-1 fibers/rationality and star configurations")
+        dp1_sub = p.add_subparsers(dest="dp1_command", required=True)
+        pr = dp1_sub.add_parser("rationality")
+        pr.add_argument("--f4", required=True, help="five comma-separated rational coefficients")
+        pr.add_argument("--f6", required=True, help="seven comma-separated rational coefficients")
+        pr.set_defaults(func=cmd_dp1_rationality)
+        ps = dp1_sub.add_parser("star")
+        ps.add_argument("--generator", default=None, help="JSON 9x9 integer matrix (or a file)")
+        ps.add_argument("--reference", action="store_true")
+        ps.set_defaults(func=cmd_dp1_star)
 
-    p = sub.add_parser("table", help="reproduce a published table")
-    p.add_argument("--id", type=int, required=True)
-    p.set_defaults(func=cmd_table)
+    if only in (None, "table"):
+        p = sub.add_parser("table", help="reproduce a published table")
+        p.add_argument("--id", type=int, required=True)
+        p.set_defaults(func=cmd_table)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         out = args.func(args)
-    except (UsageError, UnsupportedDegree, ParseError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, UnsupportedDegree and ParseError included
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
     if isinstance(out, tuple):

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import realroots
-from .exactnum import _solve
+from .exactnum import _poly_mul, _solve
 from .invforms import BinaryForm, PointGroup2D, group_from_label, in_span, invariant_subspace
 from .picard import LatticeClass, PicardLattice, enumerate_exceptional
 from .weyl import Isometry, _poly_from_factors, fingerprint, minus_on_kperp, reflection
@@ -51,8 +52,26 @@ class DP1Surface:
 
 
 def discriminant(s: DP1Surface) -> BinaryForm:
-    """The degree-12 form 4 f4^3 + 27 f6^2."""
-    return 4 * (s.f4 ** 3) + 27 * (s.f6 ** 2)
+    """The degree-12 form 4 f4^3 + 27 f6^2.
+
+    With f4 = A/d4 and f6 = B/d6 for integer coefficient lists A and B, it
+    is (4 A^3 d6^2 + 27 B^2 d4^3) / (d4^3 d6^2), multiplied out over the
+    integers.
+    """
+    a, d4 = _integral(s.f4)
+    b, d6 = _integral(s.f6)
+    a3 = _poly_mul(_poly_mul(a, a), a)
+    b2 = _poly_mul(b, b)
+    u, v = 4 * d6**2, 27 * d4**3
+    den = d4**3 * d6**2
+    return BinaryForm.from_rational([Fraction(u * x + v * y, den) for x, y in zip(a3, b2)])
+
+
+def _integral(form: BinaryForm) -> tuple[list[int], int]:
+    """(integer coefficients, d) with form = coefficients / d."""
+    coeffs = form.rational_coeffs()
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _dehomogenize(form: BinaryForm) -> tuple[list[Fraction], int]:

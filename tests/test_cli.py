@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import delpezzo
-from delpezzo.cli import main
+from delpezzo import cli
+from delpezzo.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -136,12 +138,10 @@ def test_minimal_subcommand(capsys):
 
 
 def test_table_flags_a_scan_cut_by_its_budget(capsys, monkeypatch):
-    import delpezzo.cli
     from delpezzo import weyl
 
-    monkeypatch.setattr(
-        delpezzo.cli, "involution_frames", lambda lat, k: weyl.involution_frames(lat, k, budget=50)
-    )
+    scan = weyl.involution_frames
+    monkeypatch.setattr(weyl, "involution_frames", lambda lat, k: scan(lat, k, budget=50))
     code, out = _run(capsys, "table", "--id", "7")
     assert code == 1
     failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
@@ -158,7 +158,6 @@ def test_frames_budget_equal_to_the_frame_count_is_exhaustive(capsys):
 
 
 def test_dp1_rationality_classifies_once(capsys, monkeypatch):
-    import delpezzo.cli
     from delpezzo import dp1
 
     calls = {"classify_fibers": 0, "discriminant": 0}
@@ -172,7 +171,6 @@ def test_dp1_rationality_classifies_once(capsys, monkeypatch):
 
     classify = counted("classify_fibers", dp1.classify_fibers)
     monkeypatch.setattr(dp1, "classify_fibers", classify)
-    monkeypatch.setattr(delpezzo.cli, "classify_fibers", classify)
     monkeypatch.setattr(dp1, "discriminant", counted("discriminant", dp1.discriminant))
     for f4, f6, euler in (("-1,-1,-3,3,3", "0,-1,0,-3,-1,0,0", 0), ("-2,0,-2,0,-2", "-1,0,-2,0,-2,0,2", -2)):
         calls.update(classify_fibers=0, discriminant=0)
@@ -195,23 +193,122 @@ def _peak_mb(body: str) -> float:
         "    if line.startswith('VmHWM:'):\n"
         "        print(int(line.split()[1]))\n"
     )
+    return int(_child(child).split()[-1]) / 1024
+
+
+def _child(body: str) -> str:
+    """stdout of a fresh interpreter that imports delpezzo from this tree."""
     src = str(Path(delpezzo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
-    return int(out.stdout.split()[-1]) / 1024
+    return subprocess.run([sys.executable, "-c", body], env=env, capture_output=True, text=True, check=True).stdout
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
 def test_table_1_peak_rss():
     """Table 1 closes W(E6) (51840 elements) only for its order; a fresh
     process doing so peaks below 100 MB, and less than 25 MB above a
-    process that only imports the CLI."""
+    process that only imports the modules table 1 loads."""
     table = _peak_mb(
         "import contextlib, io\n"
         "from delpezzo import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['table', '--id', '1']) == 0\n"
     )
-    bare = _peak_mb("import delpezzo.cli\n")
+    bare = _peak_mb("import delpezzo.cli, delpezzo.weyl\n")
     assert table < 100
     assert table - bare < 25, (table, bare)
+
+
+# one valid argv per subcommand (both of dp1's)
+_VALID_ARGVS = [
+    ["lattice", "--degree", "3", "--what", "lines"],
+    ["frames", "--degree", "2", "--k", "3", "--budget", "7"],
+    ["classify-involution", "--degree", "2", "--roots", "[[0,1,-1,0,0,0,0,0]]"],
+    ["minimal", "--degree", "2", "--generators", "gens.json", "--sigma", "0"],
+    ["graph", "--degree", "6", "--sigma", "fig_c", "--dot"],
+    ["dp4", "--form", "q31-0-2", "--enumerate-minimal"],
+    ["cubic", "--model", "clebsch", "--twist", "t12", "--count-real-lines"],
+    ["dp2-example", "--orbits", "--w-sign", "-1"],
+    ["invariants", "--group", "d4", "--degree", "6"],
+    ["dp1", "rationality", "--f4=-2,0,-2,0,-2", "--f6=-1,0,-2,0,-2,0,2"],
+    ["dp1", "star", "--reference"],
+    ["table", "--id", "7"],
+]
+
+# no argv, help, unknown and misspelled commands, missing, bad and extra
+# arguments, and subcommand help
+_BAD_ARGVS = [
+    [],
+    ["-h"],
+    ["nosuch"],
+    ["tabel", "--id", "1"],
+    ["dp-1", "star"],
+    ["table"],
+    ["table", "--id", "x"],
+    ["table", "--id", "1", "--extra"],
+    ["frames", "--degree", "3"],
+    ["graph", "--degree", "4", "--sigma", "fig_a"],
+    ["dp1"],
+    ["dp1", "stra"],
+    ["dp1", "rationality", "--f4", "1"],
+    ["lattice", "--degree", "3", "--what", "points"],
+    ["cubic", "--model", "fermat", "extra"],
+    ["dp2-example", "--w-sign", "2"],
+    ["table", "-h"],
+    ["dp1", "star", "-h"],
+]
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_one_subcommand_parser_parses_like_the_full_tree():
+    assert _subcommands(build_parser()) == list(cli._COMMANDS)
+    assert {argv[0] for argv in _VALID_ARGVS} == set(cli._COMMANDS)
+    for argv in _VALID_ARGVS:
+        parser = build_parser(argv)
+        assert _subcommands(parser) == [argv[0]]
+        assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
+def _parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
+    for argv in _BAD_ARGVS:
+        one = _parse_exit(capsys, build_parser(argv), argv)
+        assert one == _parse_exit(capsys, build_parser(), argv), argv
+        assert one[0] == (0 if "-h" in argv else 2) and (one[1] or one[2]), argv
+        code, _ = _run(capsys, *argv)
+        assert code == one[0], argv
+    assert _parse_exit(capsys, build_parser(), [])[2].endswith("required: command\n")
+
+
+def test_subcommands_import_only_what_they_use():
+    """The CLI starts without numpy, table 5 runs without it, and a dp4
+    rank never loads the Weyl-group layer."""
+    rank = json.dumps([{"sign": [0, 0, 0, 0, 0], "perm": [1, 2, 3, 4, 5]}])
+    out = _child(
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'numpy' or m.startswith('delpezzo'))\n"
+        "import delpezzo.cli as cli\n"
+        "seen = [loaded()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['table', '--id', '5'])]\n"
+        "    seen.append(loaded())\n"
+        f"    codes.append(cli.main(['dp4', '--form', 'q31-0-2', '--rank-elements', {rank!r}]))\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps([codes, seen]))\n"
+    )
+    codes, (at_import, after_table, after_dp4) = json.loads(out)
+    assert codes == [0, 0]
+    assert at_import == ["delpezzo", "delpezzo.cli", "delpezzo.tables"]
+    assert "numpy" not in after_table and "delpezzo.explicitlines" in after_table
+    assert "delpezzo.weyl" not in after_dp4 and "delpezzo.dp4" in after_dp4

@@ -40,6 +40,30 @@ def test_discriminant_formula():
     assert (d2 - expected2).is_zero()
 
 
+def test_discriminant_matches_binary_form_arithmetic():
+    """The integer evaluation against 4 f4^3 + 27 f6^2 in BinaryForm
+    arithmetic, on seeded rational forms, some with zero leading
+    coefficients and some with a zero f4 or f6."""
+    rng = random.Random(15)
+
+    def form(size):
+        coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(size)]
+        lead_zeros = rng.choice((0, 0, 1, 2, size))
+        return _bf([0] * lead_zeros + coeffs[lead_zeros:])
+
+    checked = 0
+    for _ in range(200):
+        f4, f6 = form(5), form(7)
+        oracle = 4 * (f4**3) + 27 * (f6**2)
+        if oracle.is_zero():
+            continue
+        d = discriminant(DP1Surface(f4, f6))
+        assert d == oracle and d.degree == 12
+        assert [(c.n, c.num, c.den) for c in d.coeffs] == [(c.n, c.num, c.den) for c in oracle.coeffs]
+        checked += 1
+    assert checked > 150
+
+
 def test_rotation_invariant_family_is_singular():
     """f4 = a (x^2+y^2)^2, f6 = b (x^2+y^2)^3 has discriminant
     (27 b^2 + 4 a^3)(x^2+y^2)^6: never squarefree."""
