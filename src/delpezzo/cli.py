@@ -4,9 +4,13 @@ Every subcommand prints one deterministic JSON report (or DOT on request):
 {schema_version, command, inputs, results, checks}; the process exits 0
 when all embedded checks pass, 1 otherwise, and 2 on usage errors.
 
+The subcommands are one declarative spec, `_SUBCOMMANDS`: name, help and
+arguments (or nested leaves, for `dp1`); the handler of `a b` is `cmd_a_b`.
 A request pays only for its subcommand: `build_parser` adds just the
-subcommand that argv names, and each handler imports the modules it uses
-when it runs, so `import delpezzo.cli` loads no numpy.
+subcommand (and leaf) that argv names, and each handler imports the
+modules it uses when it runs, so `import delpezzo.cli` loads no numpy.
+`table --id N` runs `tables._TABLES[N]`, which lives beside the expected
+values it checks.
 """
 
 from __future__ import annotations
@@ -17,19 +21,13 @@ import sys
 from fractions import Fraction
 
 from . import tables
+from .tables import _check
 
 SCHEMA_VERSION = "1"
 
 
 class UsageError(ValueError):
     pass
-
-
-def _check(name, expected, actual, source=None):
-    entry = {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
-    if source:
-        entry["source"] = source
-    return entry
 
 
 def _report(command, inputs, results, checks=()):
@@ -183,7 +181,7 @@ def cmd_graph(args):
     graph = build_graph(lat, sigma)
     aut = colored_automorphisms(graph)
     if args.dot:
-        return None, _graph_dot(graph)
+        return _graph_dot(graph)
     results = {
         "vertices": [list(v.coords) for v in graph.vertices],
         "adjacency": [list(row) for row in graph.adjacency],
@@ -390,144 +388,13 @@ def cmd_dp1_star(args):
 
 
 def reproduce_table(table_id: int):
+    table = tables._TABLES.get(table_id)
+    if table is None:
+        raise UsageError(f"unsupported table id {table_id}")
     partial = []  # k of every frame scan that stopped at its budget
-
-    def scan_frames(lat, k):
-        from .weyl import involution_frames
-
-        scan = involution_frames(lat, k)
-        if not scan.exhausted:
-            partial.append(k)
-        return scan
-
-    report = _table_report(table_id, scan_frames)
-    report["checks"] += [_check(f"scan_exhausted_k{k}", True, False) for k in partial]
-    return report
-
-
-def _table_report(table_id: int, scan_frames):
-    if table_id == 1:
-        from .weyl import full_weyl_group
-
-        checks = []
-        for degree, row in sorted(tables.WEYL_ORDERS.items(), reverse=True):
-            order = full_weyl_group(degree).order
-            checks.append(_check(f"weyl_order_degree_{degree}", row["value"], order, row["source"]))
-        return _report("table", {"id": 1}, {"orders": {d: full_weyl_group(d).order for d in (6, 5, 4, 3)}}, checks)
-    if table_id == 2:
-        from .confgraphs import build_graph, hexagon_minimal_subgroups, hexagon_sigma_isometry
-        from .minimality import ActionContext, invariant_rank
-        from .picard import PicardLattice
-        from .weyl import close_group
-
-        lat = PicardLattice(6)
-        checks = []
-        results = {}
-        for pattern, row in tables.HEXAGON_FORMS.items():
-            sigma = hexagon_sigma_isometry(lat, pattern)
-            graph = build_graph(lat, sigma)
-            reals = sum(1 for f in graph.real_flags if f)
-            group = close_group(lat, [sigma], cap=10)
-            rank = invariant_rank(ActionContext(lat, group, sigma=sigma))
-            results[pattern] = {"form": row["form"], "real_lines": reals, "invariant_rank": rank}
-            checks.append(_check(f"{pattern}_real_lines", row["real_lines"], reals, row["source"]))
-            checks.append(
-                _check(f"{pattern}_invariant_rank", row["invariant_rank"], rank, row["source"])
-            )
-            if row["minimal_subgroups"] is not None:
-                names = sorted(d["name"] for d in hexagon_minimal_subgroups(pattern))
-                checks.append(
-                    _check(
-                        f"{pattern}_minimal_subgroups",
-                        sorted(row["minimal_subgroups"]),
-                        names,
-                        row["source"],
-                    )
-                )
-        return _report("table", {"id": 2}, results, checks)
-    if table_id == 3:
-        from .picard import PicardLattice
-
-        lat = PicardLattice(3)
-        checks = []
-        results = {}
-        for row in tables.CUBIC_REAL_PAIRS:
-            scan = scan_frames(lat, row["k"])
-            pairs = sorted((fp.fixed_line_count, fp.fixed_trio_count) for fp in scan.fingerprints)
-            results[row["label"]] = pairs
-            expected = [tuple(row["pair"])]
-            checks.append(
-                _check(
-                    f"k_{row['k']}_pairs",
-                    [list(p) for p in expected],
-                    [list(p) for p in pairs],
-                    row["source"],
-                )
-            )
-        return _report("table", {"id": 3}, results, checks)
-    if table_id == 4:
-        from .dp4 import PencilSpec, wall_characteristic
-        from .picard import PicardLattice
-
-        lat = PicardLattice(4)
-        checks = []
-        line_counts = {}
-        for k in range(0, 4):
-            scan = scan_frames(lat, k)
-            line_counts[k] = sorted((fp.fixed_line_count for fp in scan.fingerprints), reverse=True)
-        expected_counts = {0: [16], 1: [8], 2: [4, 0], 3: [0]}
-        for k, want in expected_counts.items():
-            checks.append(_check(f"k_{k}_line_counts", want, line_counts[k], "table:4"))
-        xi_results = {}
-        for row in tables.DP4_FORMS:
-            spec = PencilSpec(tuple((Fraction(a), Fraction(b)) for a, b in row["pencil"]))
-            xi = wall_characteristic(spec)
-            xi_results[row["label"]] = list(xi)
-            checks.append(_check(f"xi_{row['label']}", list(row["xi"]), list(xi), row["source"]))
-        return _report(
-            "table", {"id": 4}, {"line_counts": line_counts, "characteristics": xi_results}, checks
-        )
-    if table_id == 5:
-        from .explicitlines import clebsch_lines, clebsch_twist, count_real_lines
-
-        lines = clebsch_lines()
-        checks = []
-        results = {}
-        for twist, row in tables.CLEBSCH_REAL_LINES.items():
-            count = count_real_lines(lines, clebsch_twist(twist))
-            results[twist] = count
-            checks.append(_check(f"clebsch_{twist}", row["value"], count, row["source"]))
-        return _report("table", {"id": 5}, results, checks)
-    if table_id in (6, 7):
-        from .picard import PicardLattice
-
-        degree = 2 if table_id == 6 else 1
-        lat = PicardLattice(degree)
-        expected_rows = tables.DP2_PAIRS if table_id == 6 else tables.DP1_PAIRS
-        found = set()
-        per_k = {}
-        for k in range(0, lat.r + 1):
-            scan = scan_frames(lat, k)
-            pairs = sorted((fp.trace_kperp, fp.fixed_line_count) for fp in scan.fingerprints)
-            per_k[k] = pairs
-            found.update(pairs)
-        checks = []
-        for row in expected_rows:
-            pair = tuple(row["pair"])
-            checks.append(_check(f"pair_{pair[0]}_{pair[1]}", True, pair in found, row["source"]))
-        if table_id == 7:
-            checks.append(
-                _check(
-                    "exactly_ten_pairs",
-                    sorted(tuple(r["pair"]) for r in expected_rows),
-                    sorted(found),
-                    "table:7",
-                )
-            )
-        return _report(
-            "table", {"id": table_id}, {"pairs_per_k": {str(k): [list(p) for p in v] for k, v in per_k.items()}}, checks
-        )
-    raise UsageError(f"unsupported table id {table_id}")
+    results, checks = table(partial)
+    checks += [_check(f"scan_exhausted_k{k}", True, False) for k in partial]
+    return _report("table", {"id": table_id}, results, checks)
 
 
 def cmd_table(args):
@@ -537,114 +404,107 @@ def cmd_table(args):
 # ---------------------------------------------------------------------------
 # parser
 
+_DEGREE = ("--degree", {"type": int, "required": True})
 
-_COMMANDS = (
-    "lattice", "frames", "classify-involution", "minimal", "graph", "dp4", "cubic",
-    "dp2-example", "invariants", "dp1", "table",
-)
+# name -> (help, arguments or nested subcommands).  The handler of
+# `a b` is `cmd_a_b`, looked up when the parser is built.
+_SUBCOMMANDS = {
+    "lattice": ("enumerate roots, lines, or tritangent trios", [
+        _DEGREE,
+        ("--what", {"choices": ("roots", "lines", "trios"), "required": True}),
+    ]),
+    "frames": ("fingerprints of orthogonal reflection frames", [
+        _DEGREE,
+        ("--k", {"type": int, "required": True}),
+        ("--budget", {"type": int, "default": 200000}),
+    ]),
+    "classify-involution": ("fingerprint a product of root reflections", [
+        _DEGREE,
+        ("--roots", {"required": True, "help": "JSON list of root coordinate vectors (or a file)"}),
+    ]),
+    "minimal": ("invariant rank and contraction search", [
+        _DEGREE,
+        ("--generators", {"required": True, "help": "JSON list of integer matrices (or a file)"}),
+        ("--sigma", {"type": int, "help": "index of the real structure among the generators"}),
+        ("--cap", {"type": int, "default": 100000}),
+    ]),
+    "graph": ("colored incidence graph (degrees 5 and 6)", [
+        ("--degree", {"type": int, "choices": (5, 6), "required": True}),
+        ("--sigma", {"required": True}),
+        ("--dot", {"action": "store_true"}),
+    ]),
+    "dp4": ("degree-4 real forms and pencil characteristics", [
+        ("--form", {}),
+        ("--enumerate-minimal", {"action": "store_true"}),
+        ("--characteristic", {"help": "JSON [[a,b],...] of rational pairs"}),
+        ("--rank-elements", {"help": "JSON [{sign, perm}] subgroup"}),
+    ]),
+    "cubic": ("real lines/tritangents on Fermat and Clebsch cubics", [
+        ("--model", {"choices": ("fermat", "clebsch"), "required": True}),
+        ("--twist", {"choices": ("id", "t12", "t1234"), "default": "id"}),
+        ("--count-real-lines", {"action": "store_true"}),
+        ("--count-real-tritangents", {"action": "store_true"}),
+    ]),
+    "dp2-example": ("orbits of the order-4 action on the 56 lines", [
+        ("--orbits", {"action": "store_true"}),
+        ("--w-sign", {"type": int, "choices": (1, -1), "default": 1}),
+    ]),
+    "invariants": ("invariant binary forms of 2D point groups", [
+        ("--group", {"required": True}),
+        _DEGREE,
+    ]),
+    "dp1": ("degree-1 fibers/rationality and star configurations", {
+        "rationality": (None, [
+            ("--f4", {"required": True, "help": "five comma-separated rational coefficients"}),
+            ("--f6", {"required": True, "help": "seven comma-separated rational coefficients"}),
+        ]),
+        "star": (None, [
+            ("--generator", {"help": "JSON 9x9 integer matrix (or a file)"}),
+            ("--reference", {"action": "store_true"}),
+        ]),
+    }),
+    "table": ("reproduce a published table", [
+        ("--id", {"type": int, "required": True}),
+    ]),
+}
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser for argv.
 
-    When argv[0] names a subcommand, only that subcommand's parser is
-    built: building all of them costs about as much as a typical
+    When argv names a subcommand (and, under `dp1`, a leaf), only that one
+    is built: building all of them costs about as much as a typical
     in-process request.
-    Anything else (no argv, -h, an unknown name) gets the full tree, whose
-    usage and error messages list every subcommand.
+    Anything else (no argv, -h, an unknown name) gets the full tree at that
+    level, whose usage and error messages list every choice.
     """
     parser = argparse.ArgumentParser(
         prog="delpezzo",
         description="Exact lattice/group/coordinate computations for real del Pezzo surfaces",
     )
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    if only is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        # the full tree's usage line.  Not set on the full tree itself: with
-        # no command given, its error names the argument "command".
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS))
-
-    if only in (None, "lattice"):
-        p = sub.add_parser("lattice", help="enumerate roots, lines, or tritangent trios")
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--what", choices=("roots", "lines", "trios"), required=True)
-        p.set_defaults(func=cmd_lattice)
-
-    if only in (None, "frames"):
-        p = sub.add_parser("frames", help="fingerprints of orthogonal reflection frames")
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--budget", type=int, default=200000)
-        p.set_defaults(func=cmd_frames)
-
-    if only in (None, "classify-involution"):
-        p = sub.add_parser("classify-involution", help="fingerprint a product of root reflections")
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--roots", required=True, help="JSON list of root coordinate vectors (or a file)")
-        p.set_defaults(func=cmd_classify_involution)
-
-    if only in (None, "minimal"):
-        p = sub.add_parser("minimal", help="invariant rank and contraction search")
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--generators", required=True, help="JSON list of integer matrices (or a file)")
-        p.add_argument("--sigma", type=int, default=None, help="index of the real structure among the generators")
-        p.add_argument("--cap", type=int, default=100000)
-        p.set_defaults(func=cmd_minimal)
-
-    if only in (None, "graph"):
-        p = sub.add_parser("graph", help="colored incidence graph (degrees 5 and 6)")
-        p.add_argument("--degree", type=int, choices=(5, 6), required=True)
-        p.add_argument("--sigma", required=True)
-        p.add_argument("--dot", action="store_true")
-        p.set_defaults(func=cmd_graph)
-
-    if only in (None, "dp4"):
-        p = sub.add_parser("dp4", help="degree-4 real forms and pencil characteristics")
-        p.add_argument("--form", default=None)
-        p.add_argument("--enumerate-minimal", action="store_true")
-        p.add_argument("--characteristic", default=None, help="JSON [[a,b],...] of rational pairs")
-        p.add_argument("--rank-elements", default=None, help="JSON [{sign, perm}] subgroup")
-        p.set_defaults(func=cmd_dp4)
-
-    if only in (None, "cubic"):
-        p = sub.add_parser("cubic", help="real lines/tritangents on Fermat and Clebsch cubics")
-        p.add_argument("--model", choices=("fermat", "clebsch"), required=True)
-        p.add_argument("--twist", choices=("id", "t12", "t1234"), default="id")
-        p.add_argument("--count-real-lines", action="store_true")
-        p.add_argument("--count-real-tritangents", action="store_true")
-        p.set_defaults(func=cmd_cubic)
-
-    if only in (None, "dp2-example"):
-        p = sub.add_parser("dp2-example", help="orbits of the order-4 action on the 56 lines")
-        p.add_argument("--orbits", action="store_true")
-        p.add_argument("--w-sign", type=int, choices=(1, -1), default=1)
-        p.set_defaults(func=cmd_dp2_example)
-
-    if only in (None, "invariants"):
-        p = sub.add_parser("invariants", help="invariant binary forms of 2D point groups")
-        p.add_argument("--group", required=True)
-        p.add_argument("--degree", type=int, required=True)
-        p.set_defaults(func=cmd_invariants)
-
-    if only in (None, "dp1"):
-        p = sub.add_parser("dp1", help="degree-1 fibers/rationality and star configurations")
-        dp1_sub = p.add_subparsers(dest="dp1_command", required=True)
-        pr = dp1_sub.add_parser("rationality")
-        pr.add_argument("--f4", required=True, help="five comma-separated rational coefficients")
-        pr.add_argument("--f6", required=True, help="seven comma-separated rational coefficients")
-        pr.set_defaults(func=cmd_dp1_rationality)
-        ps = dp1_sub.add_parser("star")
-        ps.add_argument("--generator", default=None, help="JSON 9x9 integer matrix (or a file)")
-        ps.add_argument("--reference", action="store_true")
-        ps.set_defaults(func=cmd_dp1_star)
-
-    if only in (None, "table"):
-        p = sub.add_parser("table", help="reproduce a published table")
-        p.add_argument("--id", type=int, required=True)
-        p.set_defaults(func=cmd_table)
-
+    _add_subcommands(parser, _SUBCOMMANDS, list(argv or ()), ())
     return parser
+
+
+def _add_subcommands(parser, spec, argv, path):
+    """Add spec's subcommands below parser: only the one argv[0] names, if any."""
+    options = {"dest": "_".join(path + ("command",)), "required": True}
+    names = list(spec)
+    if argv and argv[0] in spec:
+        names = [argv[0]]
+        # the full tree's usage line.  Not set on the full tree itself: with
+        # no choice given, its error names the argument by its dest.
+        options["metavar"] = "{%s}" % ",".join(spec)
+    sub = parser.add_subparsers(**options)
+    for name in names:
+        help_text, body = spec[name]
+        p = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        if isinstance(body, dict):
+            _add_subcommands(p, body, argv[1:], path + (name,))
+            continue
+        for flag, kwargs in body:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=globals()["_".join(("cmd",) + path + (name,)).replace("-", "_")])
 
 
 def main(argv=None) -> int:
@@ -659,15 +519,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # UsageError, UnsupportedDegree and ParseError included
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
-    if isinstance(out, tuple):
-        report, dot = out
-        if dot is not None:
-            print(dot)
-            return 0
-    else:
-        report = out
-    print(json.dumps(report, indent=2, sort_keys=True, default=str))
-    return 0 if all(c["pass"] for c in report["checks"]) else 1
+    if isinstance(out, str):  # DOT
+        print(out)
+        return 0
+    print(json.dumps(out, indent=2, sort_keys=True, default=str))
+    return 0 if all(c["pass"] for c in out["checks"]) else 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,40 @@
-"""Embedded expected values for the table-reproduction driver.
+"""The published tables: expected values, and the function that checks each.
 
 Every value carries a provenance tag ("table:N:row") surfaced in reports,
-so each number can be audited against its published source.
+so each number can be audited against its published source.  Table N is
+recomputed by `_TABLES[N]`, which sits beside the values it checks and
+returns `(results, checks)`; `cli.reproduce_table` wraps them in a report.
+Each takes `partial`, a list that collects the k of every frame scan that
+stopped at its budget, and imports the modules it uses when it runs.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from operator import attrgetter
+
+
+def _check(name, expected, actual, source=None):
+    entry = {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
+    if source:
+        entry["source"] = source
+    return entry
+
+
+def _scan(degree, ks, key, partial):
+    """{k: sorted key(fingerprint) over the involutions of k-frames}."""
+    from .picard import PicardLattice
+    from .weyl import involution_frames
+
+    lat = PicardLattice(degree)
+    out = {}
+    for k in ks:
+        scan = involution_frames(lat, k)
+        if not scan.exhausted:
+            partial.append(k)
+        out[k] = sorted(key(fp) for fp in scan.fingerprints)
+    return out
+
 
 WEYL_ORDERS = {
     6: {"value": 12, "source": "table:1:degree:6"},
@@ -12,6 +42,17 @@ WEYL_ORDERS = {
     4: {"value": 1920, "source": "table:1:degree:4"},
     3: {"value": 51840, "source": "table:1:degree:3"},
 }
+
+
+def _table_1(partial):
+    from .weyl import full_weyl_group  # cached: the second call per degree is a lookup
+
+    checks = [
+        _check(f"weyl_order_degree_{degree}", row["value"], full_weyl_group(degree).order, row["source"])
+        for degree, row in sorted(WEYL_ORDERS.items(), reverse=True)
+    ]
+    return {"orders": {d: full_weyl_group(d).order for d in (6, 5, 4, 3)}}, checks
+
 
 # degree-6 Galois patterns: real form, real-line count, invariant rank, and
 # (for the two patterns the classification spells out) minimal subgroups
@@ -46,6 +87,30 @@ HEXAGON_FORMS = {
     },
 }
 
+
+def _table_2(partial):
+    from .confgraphs import build_graph, hexagon_minimal_subgroups, hexagon_sigma_isometry
+    from .minimality import ActionContext, invariant_rank
+    from .picard import PicardLattice
+    from .weyl import close_group
+
+    lat = PicardLattice(6)
+    results, checks = {}, []
+    for pattern, row in HEXAGON_FORMS.items():
+        sigma = hexagon_sigma_isometry(lat, pattern)
+        reals = sum(1 for f in build_graph(lat, sigma).real_flags if f)
+        rank = invariant_rank(ActionContext(lat, close_group(lat, [sigma], cap=10), sigma=sigma))
+        results[pattern] = {"form": row["form"], "real_lines": reals, "invariant_rank": rank}
+        checks.append(_check(f"{pattern}_real_lines", row["real_lines"], reals, row["source"]))
+        checks.append(_check(f"{pattern}_invariant_rank", row["invariant_rank"], rank, row["source"]))
+        if row["minimal_subgroups"] is not None:
+            names = sorted(d["name"] for d in hexagon_minimal_subgroups(pattern))
+            checks.append(
+                _check(f"{pattern}_minimal_subgroups", sorted(row["minimal_subgroups"]), names, row["source"])
+            )
+    return results, checks
+
+
 # cubic surfaces: (real lines, real tritangent planes) per involution class
 CUBIC_REAL_PAIRS = [
     {"label": "id", "k": 0, "pair": (27, 45), "source": "table:3:row:id"},
@@ -54,6 +119,18 @@ CUBIC_REAL_PAIRS = [
     {"label": "A_1^3", "k": 3, "pair": (3, 7), "source": "table:3:row:A_1^3"},
     {"label": "A_1^4", "k": 4, "pair": (3, 13), "source": "table:3:row:A_1^4"},
 ]
+
+
+def _table_3(partial):
+    key = attrgetter("fixed_line_count", "fixed_trio_count")
+    pairs = _scan(3, [row["k"] for row in CUBIC_REAL_PAIRS], key, partial)
+    results = {row["label"]: pairs[row["k"]] for row in CUBIC_REAL_PAIRS}
+    checks = [
+        _check(f"k_{row['k']}_pairs", [list(row["pair"])], [list(p) for p in pairs[row["k"]]], row["source"])
+        for row in CUBIC_REAL_PAIRS
+    ]
+    return results, checks
+
 
 # degree 4: involution classes with real-line counts and a sample pencil
 # configuration (exact rational directions) reproducing the block sequence
@@ -100,11 +177,41 @@ DP4_FORMS = [
     },
 ]
 
+
+def _table_4(partial):
+    from .dp4 import PencilSpec, wall_characteristic
+
+    counts = {k: c[::-1] for k, c in _scan(4, range(4), attrgetter("fixed_line_count"), partial).items()}
+    checks = []
+    for k, got in counts.items():
+        want = sorted((row["real_lines"] for row in DP4_FORMS if row["k"] == k), reverse=True)
+        checks.append(_check(f"k_{k}_line_counts", want, got, "table:4"))
+    xi = {}
+    for row in DP4_FORMS:
+        spec = PencilSpec(tuple((Fraction(a), Fraction(b)) for a, b in row["pencil"]))
+        xi[row["label"]] = list(wall_characteristic(spec))
+        checks.append(_check(f"xi_{row['label']}", list(row["xi"]), xi[row["label"]], row["source"]))
+    return {"line_counts": counts, "characteristics": xi}, checks
+
+
 CLEBSCH_REAL_LINES = {
     "id": {"value": 27, "source": "table:5:col:id"},
     "t12": {"value": 3, "source": "table:5:col:(12)"},
     "t1234": {"value": 7, "source": "table:5:col:(12)(34)"},
 }
+
+
+def _table_5(partial):
+    from .explicitlines import clebsch_lines, clebsch_twist, count_real_lines
+
+    lines = clebsch_lines()
+    results = {twist: count_real_lines(lines, clebsch_twist(twist)) for twist in CLEBSCH_REAL_LINES}
+    checks = [
+        _check(f"clebsch_{twist}", row["value"], results[twist], row["source"])
+        for twist, row in CLEBSCH_REAL_LINES.items()
+    ]
+    return results, checks
+
 
 FERMAT_REAL_LINES = {
     "id": {"value": 3, "source": "section:7:fermat"},
@@ -122,6 +229,24 @@ DP2_PAIRS = [
     {"pair": (-1, 0), "source": "table:6:row:A_1^4'"},
 ]
 
+
+def _trace_line_pairs(degree, rows, partial):
+    """(trace on K-perp, fixed lines) of the involutions of every k-frame,
+    k = 0 .. 9 - degree, checked to contain every published row."""
+    per_k = _scan(degree, range(10 - degree), attrgetter("trace_kperp", "fixed_line_count"), partial)
+    found = {p for pairs in per_k.values() for p in pairs}
+    checks = [
+        _check(f"pair_{row['pair'][0]}_{row['pair'][1]}", True, tuple(row["pair"]) in found, row["source"])
+        for row in rows
+    ]
+    return {"pairs_per_k": {str(k): [list(p) for p in v] for k, v in per_k.items()}}, checks, found
+
+
+def _table_6(partial):
+    results, checks, _ = _trace_line_pairs(2, DP2_PAIRS, partial)
+    return results, checks
+
+
 # degree 1: all ten involution classes
 DP1_PAIRS = [
     {"pair": (8, 240), "source": "table:7:row:1"},
@@ -136,6 +261,14 @@ DP1_PAIRS = [
     {"pair": (-8, 0), "source": "table:7:row:A_1^8"},
 ]
 
+
+def _table_7(partial):
+    results, checks, found = _trace_line_pairs(1, DP1_PAIRS, partial)
+    expected = sorted(tuple(r["pair"]) for r in DP1_PAIRS)
+    checks.append(_check("exactly_ten_pairs", expected, sorted(found), "table:7"))
+    return results, checks
+
+
 EXCEPTIONAL_COUNTS = {
     7: {"value": 3, "source": "section:4"},
     6: {"value": 6, "source": "section:4:six-curves"},
@@ -145,3 +278,6 @@ EXCEPTIONAL_COUNTS = {
     2: {"value": 56, "source": "table:6:row:id"},
     1: {"value": 240, "source": "table:7:row:1"},
 }
+
+
+_TABLES = {1: _table_1, 2: _table_2, 3: _table_3, 4: _table_4, 5: _table_5, 6: _table_6, 7: _table_7}

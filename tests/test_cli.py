@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -119,8 +120,23 @@ def test_table_driver(capsys):
     data = json.loads(out)
     assert all(c["pass"] for c in data["checks"])
     assert data["results"]["characteristics"]["A_1^2'"] == [2, 2, 1]
-    code, _ = _run(capsys, "table", "--id", "9")
-    assert code == 2
+    for table_id in ("0", "8", "9"):
+        code, out = _run(capsys, "table", "--id", table_id)
+        assert code == 2
+        assert json.loads(out) == {"error": f"unsupported table id {table_id}"}
+
+
+def test_reports_match_the_recorded_digests(capsys):
+    """The table, cubic and dp2-example reports are byte-identical to those
+    whose digests perfbench/digests.json records."""
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    by_argv = json.loads(digests.read_text())["by_argv"]
+    requests = [key for key in by_argv if not key.startswith(("dp1 rationality ", "invariants "))]
+    assert len(requests) == 19
+    for key in requests:
+        code, out = _run(capsys, *key.split(" "))
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == by_argv[key], key
 
 
 def test_minimal_subcommand(capsys):
@@ -219,7 +235,7 @@ def test_table_1_peak_rss():
     assert table - bare < 25, (table, bare)
 
 
-# one valid argv per subcommand (both of dp1's)
+# a valid argv for every subcommand and both dp1 leaves
 _VALID_ARGVS = [
     ["lattice", "--degree", "3", "--what", "lines"],
     ["frames", "--degree", "2", "--k", "3", "--budget", "7"],
@@ -232,6 +248,7 @@ _VALID_ARGVS = [
     ["invariants", "--group", "d4", "--degree", "6"],
     ["dp1", "rationality", "--f4=-2,0,-2,0,-2", "--f6=-1,0,-2,0,-2,0,2"],
     ["dp1", "star", "--reference"],
+    ["dp1", "star"],
     ["table", "--id", "7"],
 ]
 
@@ -249,8 +266,11 @@ _BAD_ARGVS = [
     ["frames", "--degree", "3"],
     ["graph", "--degree", "4", "--sigma", "fig_a"],
     ["dp1"],
+    ["dp1", "-h"],
     ["dp1", "stra"],
+    ["dp1", "nosuch", "--f4", "1"],
     ["dp1", "rationality", "--f4", "1"],
+    ["dp1", "rationality", "-h"],
     ["lattice", "--degree", "3", "--what", "points"],
     ["cubic", "--model", "fermat", "extra"],
     ["dp2-example", "--w-sign", "2"],
@@ -264,13 +284,20 @@ def _subcommands(parser):
     return list(action.choices)
 
 
+def _dp1_leaves(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return _subcommands(action.choices["dp1"])
+
+
 def test_one_subcommand_parser_parses_like_the_full_tree():
-    assert _subcommands(build_parser()) == list(cli._COMMANDS)
-    assert {argv[0] for argv in _VALID_ARGVS} == set(cli._COMMANDS)
+    assert _subcommands(build_parser()) == list(cli._SUBCOMMANDS)
+    assert {argv[0] for argv in _VALID_ARGVS} == set(cli._SUBCOMMANDS)
     for argv in _VALID_ARGVS:
         parser = build_parser(argv)
         assert _subcommands(parser) == [argv[0]]
         assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+        if argv[0] == "dp1":
+            assert _dp1_leaves(parser) == [argv[1]]
 
 
 def _parse_exit(capsys, parser, argv):
@@ -287,6 +314,10 @@ def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
         assert one[0] == (0 if "-h" in argv else 2) and (one[1] or one[2]), argv
         code, _ = _run(capsys, *argv)
         assert code == one[0], argv
+        if argv[:1] == ["dp1"]:
+            # the leaf argv names, else every leaf
+            named = [a for a in argv[1:2] if a in ("rationality", "star")]
+            assert _dp1_leaves(build_parser(argv)) == (named or ["rationality", "star"]), argv
     assert _parse_exit(capsys, build_parser(), [])[2].endswith("required: command\n")
 
 
