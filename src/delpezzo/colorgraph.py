@@ -1,14 +1,13 @@
 """Backtracking automorphism/isomorphism engine for small edge-colored graphs.
 
 Graphs are given by a symmetric integer color matrix (entry = edge color,
-0 meaning non-edge) plus hashable vertex colors.  Vertex classes are first
-sharpened by iterated neighborhood refinement, then completions are found
-by depth-first search over color-compatible partial maps.
+0 meaning non-edge), read as m[i][j] from any sequence of rows, plus
+hashable vertex colors.  Vertex classes are first sharpened by iterated
+neighborhood refinement, then completions are found by depth-first search
+over color-compatible partial maps.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def _refine_pair(cm_a, colors_a, cm_b, colors_b):
@@ -86,20 +85,17 @@ def _search(cm_a, cls_a, cm_b, cls_b, find_all):
 
 def isomorphism(cm_a, colors_a, cm_b, colors_b):
     """One isomorphism as a vertex map tuple, or None."""
-    cm_a = np.asarray(cm_a)
-    cm_b = np.asarray(cm_b)
-    if cm_a.shape != cm_b.shape:
+    if len(cm_a) != len(cm_b):
         return None
     cls_a, cls_b = _refine_pair(cm_a, colors_a, cm_b, colors_b)
-    found = _search(cm_a.tolist(), cls_a, cm_b.tolist(), cls_b, find_all=False)
+    found = _search(cm_a, cls_a, cm_b, cls_b, find_all=False)
     return found[0] if found else None
 
 
 def automorphisms(cm, colors):
     """All color-preserving vertex permutations (the full automorphism group)."""
-    cm = np.asarray(cm)
     cls_a, cls_b = _refine_pair(cm, colors, cm, colors)
-    return _search(cm.tolist(), cls_a, cm.tolist(), cls_b, find_all=True)
+    return _search(cm, cls_a, cm, cls_b, find_all=True)
 
 
 def compose(p, q):

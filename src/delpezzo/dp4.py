@@ -6,9 +6,20 @@ the cyclic block characteristic of a real pencil of quadrics.
 Conventions.  An automorphism is a pair (a, tau) with a in
 A = {a in (Z/2)^5 : sum a_i = 0} and tau a permutation of the five pairs of
 conic bundles; the product is (a, tau)(b, ups) = (a + tau.b, tau ups) with
-(tau.b)_i = b_{tau^{-1}(i)}.  On the basis e_0 = -K, e_i = C_i the matrix
-sends e_j to a_{tau(j)} e_0 + (-1)^{a_{tau(j)}} e_{tau(j)}, which makes the
-matrix map a homomorphism and reproduces the published order-4 matrices.
+(tau.b)_i = b_{tau^{-1}(i)}.  A form's real structure sigma is such a pair
+too (its flip vector may have odd weight), and every computation here uses
+this group law alone; matrices are for display and tests.
+
+On the basis e_0 = -K, e_i = C_i the matrix M(a, tau), a tuple of six int
+rows, fixes e_0 and sends e_j to a_t e_0 + (-1)^{a_t} e_t with t = tau(j);
+it reproduces the published order-4 matrices.  M is an injective
+homomorphism of (Z/2)^5 x| S_5: M(a, tau) sends M(b, ups) e_j =
+b e_0 + (-1)^b e_u (u = ups(j), b = b_u) to (b + (-1)^b a') e_0 +
+(-1)^(a' + b) e_{tau(u)} with a' = a_{tau(u)}, and b + (-1)^b a' is
+a' + b mod 2 for bits, so M(a, tau) M(b, ups) = M(a + tau.b, tau ups); and
+the +-1 entry of column j sits in row tau(j) under the entry a_{tau(j)}, so
+M(a, tau) gives back (a, tau).  Hence sigma commutes with el exactly when
+their matrices do, and sigma's matrix times el's is M(sigma * el).
 """
 
 from __future__ import annotations
@@ -17,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-
-import numpy as np
 
 from .exactnum import _solve
 
@@ -117,8 +126,10 @@ class DP4RealForm:
     flips: tuple[int, ...]  # flip bit per pair, indexed by target slot
     pair_perm: tuple[int, ...]
 
-    def sigma_matrix(self) -> np.ndarray:
-        return _element_matrix(self.flips, self.pair_perm)
+    @property
+    def sigma(self) -> DP4Element:
+        """The real structure as a group element (flips, pair_perm)."""
+        return DP4Element(self.flips, self.pair_perm)
 
 
 REAL_FORMS = {
@@ -144,50 +155,44 @@ def get_form(label: str) -> DP4RealForm:
     return REAL_FORMS[key]
 
 
-def _element_matrix(sign: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
+def _element_matrix(sign: tuple[int, ...], perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Matrix on the basis e_0 = -K, e_1..e_5 = C_1..C_5 (columns = images)."""
-    mat = np.zeros((6, 6), dtype=np.int64)
-    mat[0, 0] = 1
-    for j in range(5):
-        t = perm[j]
-        a = sign[t]
-        mat[0, j + 1] = a
-        mat[t + 1, j + 1] = 1 - 2 * a
-    return mat
+    mat = [[1, 0, 0, 0, 0, 0]] + [[0] * 6 for _ in range(5)]
+    for j, t in enumerate(perm):
+        mat[0][j + 1] = sign[t]
+        mat[t + 1][j + 1] = 1 - 2 * sign[t]
+    return tuple(map(tuple, mat))
 
 
-def dp4_matrix(el: DP4Element, form: DP4RealForm, with_sigma: bool = False) -> np.ndarray:
-    """Lattice matrix of el (optionally composed with the form's sigma)."""
-    mat = _element_matrix(el.sign, el.perm)
+def dp4_matrix(el: DP4Element, form: DP4RealForm, with_sigma: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Lattice matrix of el, or of form.sigma * el with with_sigma."""
     if with_sigma:
-        mat = form.sigma_matrix() @ mat
-    return mat
+        el = form.sigma * el
+    return _element_matrix(el.sign, el.perm)
 
 
 # the Q_{3,1}(0,2) geometric basis (F, Fbar, E_p, E_pbar, E_q, E_qbar):
 # integer coordinates of e_0 = -K and e_i = C_i
-_Q31_BASIS = np.array(
-    [
-        [2, 1, 1, 1, 1, 0],
-        [2, 1, 1, 1, 0, 1],
-        [-1, -1, -1, -1, 0, 0],
-        [-1, -1, 0, 0, 0, 0],
-        [-1, 0, -1, 0, 0, 0],
-        [-1, 0, 0, -1, 0, 0],
-    ],
-    dtype=np.int64,
+_Q31_BASIS = (
+    (2, 1, 1, 1, 1, 0),
+    (2, 1, 1, 1, 0, 1),
+    (-1, -1, -1, -1, 0, 0),
+    (-1, -1, 0, 0, 0, 0),
+    (-1, 0, -1, 0, 0, 0),
+    (-1, 0, 0, -1, 0, 0),
 )
 
 
-def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> np.ndarray:
+def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> tuple[tuple[int, ...], ...]:
     """Matrix of el on Q_{3,1}(0,2) in the basis (F, Fbar, E_p, E_pbar, E_q, E_qbar)."""
     m = dp4_matrix(el, REAL_FORMS["q31_02"], with_sigma)
     t = _Q31_BASIS
-    # out = t m t^-1: row k of out solves t.T x = (t m)[k]
-    out = _solve(t.T.tolist(), (t @ m).tolist())
+    # out = t m t^-1: row k of out solves t^T x = (t m)[k]
+    tm = [[sum(tk[i] * m[i][j] for i in range(6)) for j in range(6)] for tk in t]
+    out = _solve(list(zip(*t)), tm)
     if out is None or any(c.denominator != 1 for row in out for c in row):
         raise ArithmeticError("geometric change of basis is not integral")
-    return np.array(out, dtype=np.int64)
+    return tuple(tuple(int(c) for c in row) for row in out)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +216,8 @@ def dp4_invariant_rank(subgroup, form: DP4RealForm):
     elems = _check_closed(subgroup)
     total = 0
     for g in elems:
-        total += int(np.trace(dp4_matrix(g, form))) - 1
-        total += int(np.trace(dp4_matrix(g, form, with_sigma=True))) - 1
+        for m in (dp4_matrix(g, form), dp4_matrix(g, form, with_sigma=True)):
+            total += sum(m[i][i] for i in range(6)) - 1
     rank = 1 + Fraction(total, 2 * len(elems))
     return int(rank) if rank.denominator == 1 else rank
 
@@ -262,8 +267,9 @@ def _extend(h: frozenset[DP4Element], gens: tuple[DP4Element, ...]) -> frozenset
 
 
 def ambient_group(form: DP4RealForm) -> list[DP4Element]:
-    """Elements whose lattice matrix commutes with the form's sigma, with the
-    permutation part restricted to the form's published constraint."""
+    """Elements that commute with the form's sigma in the group law (so their
+    lattice matrices commute with sigma's), with the permutation part
+    restricted to the form's published constraint."""
     allowed_perms = {
         "split": [tuple(p) for p in permutations(range(5))],
         "q31_02": [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3)],
@@ -277,7 +283,7 @@ def ambient_group(form: DP4RealForm) -> list[DP4Element]:
         for p3 in permutations(range(3)):
             for p2 in permutations((3, 4)):
                 allowed_perms.append(tuple(p3) + tuple(p2))
-    sigma = form.sigma_matrix()
+    sigma = form.sigma
     out = []
     for perm in allowed_perms:
         for bits in range(32):
@@ -285,8 +291,7 @@ def ambient_group(form: DP4RealForm) -> list[DP4Element]:
             if sum(sign) % 2:
                 continue
             el = DP4Element(sign, perm)
-            m = _element_matrix(el.sign, el.perm)
-            if np.array_equal(sigma @ m, m @ sigma):
+            if sigma * el == el * sigma:
                 out.append(el)
     return out
 

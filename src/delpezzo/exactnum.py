@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .realroots import isolate_real_roots, sign_at_root
+from .realroots import _pdivmod, isolate_real_roots, sign_at_root
 
 
 class NonRealInput(ValueError):
@@ -41,27 +41,6 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return out
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (den monic up to sign)."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("non-exact polynomial division")
-        out[i - dn] = q
-        for j, dj in enumerate(den):
-            num[i - dn + j] -= q * dj
-    if any(num[:dn]):
-        raise ArithmeticError("non-exact polynomial division")
     return out
 
 
@@ -91,7 +70,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             den = _poly_mul(den, list(cyclotomic_poly(d)))
-    return tuple(_poly_divexact(num, den))
+    q, r, _ = _pdivmod(num, den)
+    if r:
+        raise ArithmeticError("non-exact polynomial division")
+    return tuple(q)
 
 
 @lru_cache(maxsize=None)

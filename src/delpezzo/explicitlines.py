@@ -258,10 +258,8 @@ def tritangent_triples(lines: list[ProjSpaceLine]) -> list[frozenset[int]]:
     return out
 
 
-def count_real_lines(lines, rs: TwistedRealStructure) -> int:
-    if hasattr(rs, "fixes_line") and lines and isinstance(lines[0], ProjSpaceLine):
-        return sum(1 for line in lines if rs.fixes_line(line))
-    raise TypeError("count_real_lines expects projective lines")
+def count_real_lines(lines: list[ProjSpaceLine], rs: TwistedRealStructure) -> int:
+    return sum(1 for line in lines if rs.fixes_line(line))
 
 
 def count_real_tritangents(lines: list[ProjSpaceLine], rs: TwistedRealStructure) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from . import _kernels
-from .exactnum import _poly_divexact, _poly_mul
+from .exactnum import _poly_mul
 from .picard import (
     LatticeClass,
     PicardLattice,
@@ -24,6 +24,7 @@ from .picard import (
     enumerate_roots,
     tritangent_trios,
 )
+from .realroots import _pdivmod
 
 
 class NotARoot(ValueError):
@@ -274,11 +275,13 @@ def _count_fixed_trios(lat: PicardLattice, mat: np.ndarray) -> int:
 def fingerprint(lat: PicardLattice, g: Isometry) -> ElementFingerprint:
     """Trace/charpoly on the orthogonal complement of K, order, fixed lines."""
     full = _charpoly_int(g.np)
-    kperp = tuple(_poly_divexact(full, (-1, 1)))  # K contributes the eigenvalue-1 factor
+    kperp, r, _ = _pdivmod(full, (-1, 1))  # K contributes the eigenvalue-1 factor
+    if r:
+        raise ArithmeticError("non-exact polynomial division")
     trace = int(np.trace(g.np)) - 1
     fp = ElementFingerprint(
         trace_kperp=trace,
-        charpoly_kperp=kperp,
+        charpoly_kperp=tuple(kperp),
         fixed_line_count=_count_fixed_lines(lat, g.np),
         order=element_order(g),
         fixed_trio_count=_count_fixed_trios(lat, g.np) if lat.degree == 3 else None,

@@ -322,8 +322,8 @@ def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
 
 
 def test_subcommands_import_only_what_they_use():
-    """The CLI starts without numpy, table 5 runs without it, and a dp4
-    rank never loads the Weyl-group layer."""
+    """The CLI starts without numpy, table 5 and the dp4 requests run
+    without it, and a dp4 rank never loads the Weyl-group layer."""
     rank = json.dumps([{"sign": [0, 0, 0, 0, 0], "perm": [1, 2, 3, 4, 5]}])
     out = _child(
         "import contextlib, io, json, sys\n"
@@ -336,10 +336,13 @@ def test_subcommands_import_only_what_they_use():
         "    seen.append(loaded())\n"
         f"    codes.append(cli.main(['dp4', '--form', 'q31-0-2', '--rank-elements', {rank!r}]))\n"
         "    seen.append(loaded())\n"
+        "    codes.append(cli.main(['dp4', '--form', 'q31-0-2', '--enumerate-minimal']))\n"
+        "    seen.append(loaded())\n"
         "print(json.dumps([codes, seen]))\n"
     )
-    codes, (at_import, after_table, after_dp4) = json.loads(out)
-    assert codes == [0, 0]
+    codes, (at_import, after_table, after_dp4, after_minimal) = json.loads(out)
+    assert codes == [0, 0, 0]
     assert at_import == ["delpezzo", "delpezzo.cli", "delpezzo.tables"]
     assert "numpy" not in after_table and "delpezzo.explicitlines" in after_table
     assert "delpezzo.weyl" not in after_dp4 and "delpezzo.dp4" in after_dp4
+    assert "numpy" not in after_minimal

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from delpezzo.dp4 import (
     DegeneratePencil,
     IDENTITY,
     NotAGroup,
+    REAL_FORMS,
     PencilSpec,
     UnsupportedForm,
     _extend,
@@ -73,23 +75,65 @@ def test_sign_vector_validation():
     assert sign_vector((1, 1, 0, 0, 0)).in_a()
 
 
+def _np_element_matrix(sign, perm):
+    """numpy matrix of (sign, perm) on e_0 = -K, e_1..e_5 (columns = images)."""
+    mat = np.zeros((6, 6), dtype=np.int64)
+    mat[0, 0] = 1
+    for j in range(5):
+        t = perm[j]
+        mat[0, j + 1] = sign[t]
+        mat[t + 1, j + 1] = 1 - 2 * sign[t]
+    return mat
+
+
+def _reference_ambient_group(form):
+    """Candidates whose numpy matrix commutes with sigma's: the oracle."""
+    if form.label == "split":
+        perms = list(permutations(range(5)))
+    elif form.label == "q31_02":
+        perms = [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3)]
+    else:
+        perms = [p3 + p2 for p3 in permutations(range(3)) for p2 in permutations((3, 4))]
+    sigma = _np_element_matrix(form.flips, form.pair_perm)
+    out = []
+    for perm in perms:
+        for bits in range(32):
+            sign = tuple((bits >> i) & 1 for i in range(5))
+            if sum(sign) % 2:
+                continue
+            m = _np_element_matrix(sign, perm)
+            if np.array_equal(sigma @ m, m @ sigma):
+                out.append(DP4Element(sign, perm))
+    return out
+
+
+def test_ambient_group_matches_matrix_commutation():
+    for form in REAL_FORMS.values():
+        assert ambient_group(form) == _reference_ambient_group(form), form.label
+
+
 def test_matrix_is_a_homomorphism():
     rng = random.Random(9)
-    form = get_form("split")
     elements = _a_elements()
     perms = [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3), (1, 0, 2, 4, 3), (2, 0, 1, 3, 4)]
     pool = [DP4Element(rng.choice(elements).sign, rng.choice(perms)) for _ in range(12)]
-    for g in pool[:6]:
-        for h in pool[6:]:
-            assert np.array_equal(
-                dp4_matrix(g * h, form), dp4_matrix(g, form) @ dp4_matrix(h, form)
-            )
+    for form in REAL_FORMS.values():
+        sigma = _np_element_matrix(form.flips, form.pair_perm)
+        assert np.array_equal(dp4_matrix(IDENTITY, form, with_sigma=True), sigma)
+        for g in pool[:6]:
+            mg = np.array(dp4_matrix(g, form))
+            assert np.array_equal(mg, _np_element_matrix(g.sign, g.perm))
+            assert np.array_equal(dp4_matrix(g, form, with_sigma=True), sigma @ mg)
+            for h in pool[6:]:
+                mh = np.array(dp4_matrix(h, form))
+                assert np.array_equal(dp4_matrix(g * h, form), mg @ mh)
+                assert np.array_equal(dp4_matrix(g * h, form, with_sigma=True), sigma @ mg @ mh)
 
 
 def test_matrix_fixes_anticanonical_direction():
     form = get_form("split")
     for g in _a_elements():
-        m = dp4_matrix(g, form)
+        m = np.array(dp4_matrix(g, form))
         assert list(m[:, 0]) == [1, 0, 0, 0, 0, 0]
 
 
@@ -97,7 +141,7 @@ def test_identity_matrix_and_diagonal_display():
     form = get_form("split")
     assert np.array_equal(dp4_matrix(IDENTITY, form), np.eye(6, dtype=np.int64))
     a = DP4Element((1, 0, 1, 1, 1))
-    m = dp4_matrix(a, form)
+    m = np.array(dp4_matrix(a, form))
     assert list(m[0]) == [1, 1, 0, 1, 1, 1]
     assert [m[i, i] for i in range(1, 6)] == [-1, 1, -1, -1, -1]
 
@@ -114,19 +158,20 @@ def test_geometric_matrices_conjugate_exactly():
     for el in ambient_group(form):
         for with_sigma in (False, True):
             out = dp4_matrix_geometric(el, with_sigma)
-            assert out.dtype == np.int64
-            assert np.array_equal(out @ _Q31_BASIS, _Q31_BASIS @ dp4_matrix(el, form, with_sigma))
+            assert all(type(c) is int for row in out for c in row)
+            t = np.array(_Q31_BASIS)
+            assert np.array_equal(np.array(out) @ t, t @ np.array(dp4_matrix(el, form, with_sigma)))
 
 
 def test_q22_sigma_action_display():
     form = get_form("q22_02")
     a = DP4Element((0, 0, 0, 1, 1))
-    m = dp4_matrix(a, form, with_sigma=True)
+    m = np.array(dp4_matrix(a, form, with_sigma=True))
     # e_i -> (1 - a_i) e_0 + (-1)^(a_i + 1) e_i for i = 4, 5
     assert m[0, 4] == 0 and m[4, 4] == 1
     assert m[0, 5] == 0 and m[5, 5] == 1
     b = IDENTITY
-    mb = dp4_matrix(b, form, with_sigma=True)
+    mb = np.array(dp4_matrix(b, form, with_sigma=True))
     assert mb[0, 4] == 1 and mb[4, 4] == -1
 
 

@@ -101,6 +101,9 @@ def test_real_line_counts():
     assert count_real_lines(clines, clebsch_twist("id")) == 27
     assert count_real_lines(clines, clebsch_twist("t12")) == 3
     assert count_real_lines(clines, clebsch_twist("t1234")) == 7
+    for twist in ("id", "t12", "t1234"):
+        assert count_real_lines([], fermat_twist(twist)) == 0
+        assert count_real_lines([], clebsch_twist(twist)) == 0
 
 
 def test_fermat_real_line_labels():
