@@ -131,15 +131,15 @@ def cmd_classify_involution(args):
 
 
 def cmd_minimal(args):
-    import numpy as np
-
     from .minimality import ActionContext, find_contractible_set, invariant_rank, is_strongly_minimal
     from .picard import PicardLattice
     from .weyl import Isometry, close_group
 
     lat = PicardLattice(args.degree)
     mats = _load_json_arg(args.generators)
-    gens = [Isometry(lat, np.array(m, dtype=np.int64)) for m in mats]
+    gens = [Isometry(lat, m) for m in mats]
+    if args.sigma is not None and not 0 <= args.sigma < len(gens):
+        raise UsageError(f"--sigma must index one of the {len(gens)} generators, got {args.sigma}")
     sigma = gens[args.sigma] if args.sigma is not None else None
     group = close_group(lat, gens, cap=args.cap)
     ctx = ActionContext(lat, group, sigma=sigma)
@@ -355,8 +355,6 @@ def cmd_dp1_rationality(args):
 
 
 def cmd_dp1_star(args):
-    import numpy as np
-
     from .dp1 import a22_element, find_star_configurations
     from .picard import PicardLattice
     from .weyl import Isometry
@@ -364,7 +362,7 @@ def cmd_dp1_star(args):
     lat = PicardLattice(1)
     if args.generator:
         mats = _load_json_arg(args.generator)
-        gen = Isometry(lat, np.array(mats, dtype=np.int64))
+        gen = Isometry(lat, mats)
     else:
         gen = a22_element(lat)
     stars = find_star_configurations(gen)

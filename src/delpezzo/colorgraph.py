@@ -132,3 +132,24 @@ def generating_subset(perms):
         if span == elems:
             break
     return gens
+
+
+def _orbits(perms, n):
+    """The orbits of the group the permutations generate on range(n), each sorted."""
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        orbit = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for p in perms:
+                if p[v] not in orbit:
+                    orbit.add(p[v])
+                    stack.append(p[v])
+        for v in orbit:
+            seen[v] = True
+        out.append(sorted(orbit))
+    return out

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import colorgraph
 from .exactnum import _solve
 from .picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_exceptional
@@ -49,15 +47,9 @@ def build_graph(lat: PicardLattice, sigma: Isometry) -> ColoredIncidenceGraph:
     if lat.degree not in (5, 6):
         raise UnsupportedDegree("configuration graphs live on degrees 5 and 6")
     lines = enumerate_exceptional(lat)
-    arr = np.array([e.coords for e in lines], dtype=np.int64)
-    gram = arr @ lat.gram @ arr.T
-    adjacency = tuple(
-        tuple(1 if (i != j and gram[i, j] == 1) else 0 for j in range(len(lines)))
-        for i in range(len(lines))
-    )
-    index = {e.coords: i for i, e in enumerate(lines)}
-    images = arr @ sigma.np.T
-    perm = [index[tuple(int(x) for x in row)] for row in images]
+    # a line meets itself -1 times, so the diagonal is zero
+    adjacency = tuple(tuple(int(lat.intersection(a, b) == 1) for b in lines) for a in lines)
+    perm = sigma.permutation(lines)
     for v, w in enumerate(perm):
         if perm[w] != v:
             raise ValueError("sigma does not act as an involution on the lines")
@@ -106,13 +98,11 @@ def hexagon_vertex_order(lat: PicardLattice) -> list[LatticeClass]:
     if lat.degree != 6:
         raise UnsupportedDegree("the hexagon lives on degree 6")
     lines = enumerate_exceptional(lat)
-    arr = np.array([e.coords for e in lines], dtype=np.int64)
-    gram = arr @ lat.gram @ arr.T
     order = [0]
     prev = None
     while len(order) < 6:
         v = order[-1]
-        nxt = [w for w in range(6) if w != v and w != prev and gram[v, w] == 1]
+        nxt = [w for w in range(6) if w != prev and lat.intersection(lines[v], lines[w]) == 1]
         prev = v
         order.append(nxt[0])
     return [lines[i] for i in order]
@@ -149,7 +139,7 @@ def vertex_permutation_isometry(lat: PicardLattice, perm: tuple[int, ...]) -> Is
     mat = _solve(src, dst)
     if mat is None or any(c.denominator != 1 for row in mat for c in row):
         raise ValueError("vertex permutation does not extend integrally")
-    return Isometry(lat, np.array(mat, dtype=np.int64))
+    return Isometry(lat, [[int(c) for c in row] for row in mat])
 
 
 DP5_PATTERNS = ("split", "fig_a", "fig_b")
@@ -170,10 +160,10 @@ def dp5_sigma_isometry(lat: PicardLattice, pattern: str) -> Isometry:
     }.get(pattern)
     if point_perm is None:
         raise ValueError(f"unknown sigma pattern {pattern!r} (want one of {DP5_PATTERNS})")
-    mat = np.zeros((5, 5), dtype=np.int64)
-    mat[0, 0] = 1
+    mat = [[0] * 5 for _ in range(5)]
+    mat[0][0] = 1
     for i, j in enumerate(point_perm, start=1):
-        mat[j, i] = 1
+        mat[j][i] = 1
     return Isometry(lat, mat)
 
 
@@ -231,26 +221,6 @@ def subgroup_name(sub) -> str:
     return f"<{rot_gen},{refl}>"
 
 
-def _orbits(perms, n=6):
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for p in perms:
-                if p[v] not in orbit:
-                    orbit.add(p[v])
-                    stack.append(p[v])
-        for v in orbit:
-            seen[v] = True
-        out.append(sorted(orbit))
-    return out
-
-
 def _hexagon_disjoint(i: int, j: int) -> bool:
     return (i - j) % 6 not in (1, 5) and i != j
 
@@ -267,7 +237,7 @@ def hexagon_minimal_subgroups(sigma_pattern: str) -> list[dict]:
     for sub in _dihedral_subgroups():
         combined = colorgraph.close_permutations(list(sub) + [sigma], 6)
         minimal = True
-        for orbit in _orbits(sorted(combined)):
+        for orbit in colorgraph._orbits(sorted(combined), 6):
             if all(_hexagon_disjoint(i, j) for i in orbit for j in orbit if i != j):
                 minimal = False
                 break

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from . import realroots
 from .exactnum import _poly_mul, _solve
 from .invforms import BinaryForm, PointGroup2D, group_from_label, in_span, invariant_subspace
@@ -269,12 +267,12 @@ def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
     if not _is_a22(lat, g):
         raise NotTypeA2Squared("element is not of type A_2^2 with trace 2")
     lines = enumerate_exceptional(lat)
-    arr = np.array([e.coords for e in lines], dtype=np.int64)
-    index = {e.coords: i for i, e in enumerate(lines)}
-    perm = [index[tuple(int(x) for x in row)] for row in arr @ g.np.T]
-    beta = minus_on_kperp(lat)
-    beta_perm = [index[tuple(int(x) for x in row)] for row in arr @ beta.np.T]
-    gram = arr @ lat.gram @ arr.T
+    perm = g.permutation(lines)
+    beta_perm = minus_on_kperp(lat).permutation(lines)
+
+    def meet(i: int, j: int) -> int:
+        return lat.intersection(lines[i], lines[j])
+
     fixed = [i for i in range(len(lines)) if perm[i] == i]
     if len(fixed) != 12:
         raise NotTypeA2Squared(f"expected 12 fixed classes, found {len(fixed)}")
@@ -287,7 +285,7 @@ def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
             nxt = [
                 j
                 for j in six
-                if j != cycle[-1] and j != prev and gram[cycle[-1], j] == 0
+                if j != cycle[-1] and j != prev and meet(cycle[-1], j) == 0
             ]
             prev = cycle[-1]
             cycle.append(nxt[0])
@@ -303,7 +301,7 @@ def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
         while stack:
             v = stack.pop()
             for w in list(remaining):
-                if w not in comp and gram[v, w] == 0:
+                if w not in comp and meet(v, w) == 0:
                     comp.add(w)
                     stack.append(w)
         remaining -= comp
@@ -324,7 +322,7 @@ def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
             continue
         orbit = [i, perm[i], perm[perm[i]]]
         seen.update(orbit)
-        if gram[orbit[0], orbit[1]] == 2 and gram[orbit[0], orbit[2]] == 2 and gram[orbit[1], orbit[2]] == 2:
+        if meet(orbit[0], orbit[1]) == meet(orbit[0], orbit[2]) == meet(orbit[1], orbit[2]) == 2:
             e, ge, gge = orbit
             ordered = [e, beta_perm[gge], ge, beta_perm[e], gge, beta_perm[ge]]
             key = frozenset(ordered)
@@ -349,41 +347,44 @@ def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
     return stars
 
 
-def star_basis(lat: PicardLattice, stars: list[StarConfiguration]) -> np.ndarray:
+def star_basis(lat: PicardLattice, stars: list[StarConfiguration]) -> tuple[tuple[int, ...], ...]:
     """Rows: H_1 + K and H_2 + K for each star (a basis of K-perp over Q)."""
-    k = np.array(lat.canonical.coords, dtype=np.int64)
-    rows = []
-    for s in stars:
-        for i in range(2):
-            rows.append(np.array(s.classes[i].coords, dtype=np.int64) + k)
-    return np.stack(rows)
+    return tuple((s.classes[i] + lat.canonical).coords for s in stars for i in range(2))
 
 
-def star_block_matrix(lat: PicardLattice, g: Isometry, stars) -> np.ndarray:
+def star_block_matrix(lat: PicardLattice, g: Isometry, stars) -> tuple[tuple[int, ...], ...]:
     """Matrix of g on the star basis, columns = images of basis vectors."""
-    basis = star_basis(lat, stars)  # 8 x 9, rows span K-perp
-    images = basis @ g.np.T
-    # row k of mat solves basis.T x = images[k]
-    mat = _solve(basis.T.tolist(), images.tolist())
+    basis = star_basis(lat, stars)  # 8 rows of length 9, spanning K-perp
+    images = [g.apply(LatticeClass(row)).coords for row in basis]
+    # row k of mat solves basis^T x = images[k]
+    mat = _solve(list(zip(*basis)), images)
     if mat is None or any(c.denominator != 1 for row in mat for c in row):
         raise NotTypeA2Squared("star classes do not span K-perp integrally")
-    return np.array(mat, dtype=np.int64).T  # column convention: g(b_j) = sum_i mat[i, j] b_i
+    # column convention: g(b_j) = sum_i mat[i][j] b_i
+    return tuple(zip(*(tuple(int(c) for c in row) for row in mat)))
+
+
+# I_4 and two blocks [[-1, -1], [1, 0]]
+_A22_BLOCK_MATRIX = (
+    (1, 0, 0, 0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0, 0, 0, 0),
+    (0, 0, 1, 0, 0, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0, 0, 0),
+    (0, 0, 0, 0, -1, -1, 0, 0),
+    (0, 0, 0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, -1, -1),
+    (0, 0, 0, 0, 0, 0, 1, 0),
+)
 
 
 def _verify_block_matrix(lat: PicardLattice, g: Isometry, stars) -> None:
-    mat = star_block_matrix(lat, g, stars)
-    rot = np.array([[-1, -1], [1, 0]], dtype=np.int64)
-    expected = np.zeros((8, 8), dtype=np.int64)
-    expected[:4, :4] = np.eye(4, dtype=np.int64)
-    expected[4:6, 4:6] = rot
-    expected[6:8, 6:8] = rot
-    if not np.array_equal(mat, expected):
+    if star_block_matrix(lat, g, stars) != _A22_BLOCK_MATRIX:
         raise NotTypeA2Squared("block matrix of g on the star basis is unexpected")
 
 
 def bertini_twist_trace_identity(lat: PicardLattice, sigma: Isometry) -> bool:
     """tr of (Bertini o sigma) on K-perp equals minus the trace of sigma."""
     beta = minus_on_kperp(lat)
-    lhs = int(np.trace((beta * sigma).np)) - 1
-    rhs = -(int(np.trace(sigma.np)) - 1)
+    lhs = (beta * sigma).trace() - 1
+    rhs = -(sigma.trace() - 1)
     return lhs == rhs

@@ -363,9 +363,15 @@ class MinimalSubgroupReport:
         return len(self.elements)
 
 
+MAX_ENUMERATED_AMBIENT = 192  # q22_02's ambient takes minutes; split's 1920 elements hang
+
+
 def enumerate_strongly_minimal(form: DP4RealForm, ambient=None) -> list[MinimalSubgroupReport]:
-    """All strongly minimal subgroups of the ambient, up to ambient conjugacy."""
+    """All strongly minimal subgroups of the ambient, up to ambient conjugacy;
+    UnsupportedForm when it has more than MAX_ENUMERATED_AMBIENT elements."""
     ambient = list(ambient) if ambient is not None else ambient_group(form)
+    if len(ambient) > MAX_ENUMERATED_AMBIENT:
+        raise UnsupportedForm(f"{form.label}: ambient of {len(ambient)} > {MAX_ENUMERATED_AMBIENT} elements")
     subs = all_subgroups(ambient)
     minimal = [s for s in subs if dp4_invariant_rank(s, form) == 1]
     reps: list[frozenset[DP4Element]] = []

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-import numpy as np
-
+from .colorgraph import _orbits
 from .exactnum import _echelon
 from .picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_exceptional
 from .weyl import Isometry, IsometryGroup
@@ -36,16 +36,15 @@ class ActionContext:
         if self.group.lattice != self.lattice:
             raise ValueError("group lives on a different lattice")
         if self.sigma is not None:
-            if not np.array_equal(self.sigma.np @ self.sigma.np, np.eye(self.lattice.rank, dtype=np.int64)):
+            if not (self.sigma * self.sigma).is_identity():
                 raise ValueError("sigma must have order at most 2")
-            if not self.group.contains_matrix(self.sigma.np):
+            if self.sigma not in self.group:
                 raise ValueError("sigma must be a member of the group")
 
 
 def invariant_rank(ctx: ActionContext) -> int:
     """1 + average trace on K-perp over the whole group, exactly."""
-    traces = np.einsum("nii->n", ctx.group.matrices) - 1
-    total = int(traces.sum())
+    total = ctx.group.trace_sum() - ctx.group.order
     avg = Fraction(total, ctx.group.order)
     if avg.denominator != 1:
         raise NonIntegralRank(
@@ -60,17 +59,14 @@ def fixed_sublattice_rank(ctx: ActionContext) -> int:
     The fixed space of the group equals the fixed space of any generating
     set; all elements are stacked at desk scale, generators otherwise.
     """
-    d = ctx.lattice.rank
-    if ctx.group.order <= 256:
-        mats = ctx.group.matrices
-    else:
-        gens = [g.np for g in ctx.group.generators]
-        mats = np.stack(gens) if gens else np.eye(d, dtype=np.int64)[None]
-    rows = []
-    eye = np.eye(d, dtype=np.int64)
-    for m in mats:
-        rows.extend((m - eye).tolist())
-    return d - len(_echelon(rows)[1])
+    group = ctx.group
+    elements = group.elements() if group.order <= 256 else group.generators
+    rows = [
+        [x - (i == j) for j, x in enumerate(row)]
+        for g in elements
+        for i, row in enumerate(g.matrix)
+    ]
+    return ctx.lattice.rank - len(_echelon(rows)[1])
 
 
 def is_strongly_minimal(ctx: ActionContext) -> bool:
@@ -87,39 +83,14 @@ def find_contractible_set(ctx: ActionContext) -> list[LatticeClass] | None:
     """
     if ctx.lattice.degree > 7:
         raise UnsupportedDegree("contraction search needs degree <= 7")
-    lines = enumerate_exceptional(ctx.lattice)
-    arr = np.array([e.coords for e in lines], dtype=np.int64)
-    index = {e.coords: i for i, e in enumerate(lines)}
-    gens = [g.np for g in ctx.group.generators]
-    if not gens:
-        gens = [np.eye(ctx.lattice.rank, dtype=np.int64)]
-    perms = []
-    for m in gens:
-        images = arr @ m.T
-        perms.append(np.array([index[tuple(int(x) for x in row)] for row in images]))
-    n = len(lines)
-    seen = [False] * n
-    gram = arr @ ctx.lattice.gram @ arr.T
-    candidates = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for p in perms:
-                w = int(p[v])
-                if w not in orbit:
-                    orbit.add(w)
-                    stack.append(w)
-        for v in orbit:
-            seen[v] = True
-        idx = sorted(orbit)
-        block = gram[np.ix_(idx, idx)]
-        off = block - np.diag(np.diag(block))
-        if not off.any():
-            candidates.append(idx)
+    lat = ctx.lattice
+    lines = enumerate_exceptional(lat)
+    perms = [g.permutation(lines) for g in ctx.group.generators]
+    candidates = [
+        orbit
+        for orbit in _orbits(perms, len(lines))
+        if all(lat.intersection(lines[a], lines[b]) == 0 for a, b in combinations(orbit, 2))
+    ]
     if not candidates:
         return None
     best = min(candidates, key=lambda idx: (len(idx), idx))
@@ -128,4 +99,4 @@ def find_contractible_set(ctx: ActionContext) -> list[LatticeClass] | None:
 
 def lefschetz_euler(g: Isometry) -> int:
     """Euler characteristic of the fixed locus: trace on K-perp plus 3."""
-    return int(np.trace(g.np)) - 1 + 3
+    return g.trace() - 1 + 3

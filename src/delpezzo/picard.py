@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 
 class DimensionMismatch(ValueError):
     pass
@@ -64,7 +62,8 @@ class PicardLattice:
         self.degree = degree
         self.r = 9 - degree
         self.rank = self.r + 1
-        self.gram = np.diag([1] + [-1] * self.r).astype(np.int64)
+        diag = (1,) + (-1,) * self.r  # gram is int rows; an array's @ takes them as an operand
+        self.gram = tuple(tuple(diag[i] * (i == j) for j in range(self.rank)) for i in range(self.rank))
         self.canonical = LatticeClass((-3,) + (1,) * self.r)
         self.basis = [
             LatticeClass(tuple(1 if j == i else 0 for j in range(self.rank)))
@@ -183,7 +182,6 @@ def tritangent_trios(lat: PicardLattice) -> list[frozenset[LatticeClass]]:
     return sorted(trios, key=lambda t: sorted(x.coords for x in t))
 
 
-def incidence_matrix(lat: PicardLattice, classes: list[LatticeClass]) -> np.ndarray:
-    """Pairwise intersection numbers as an integer matrix."""
-    arr = np.array([c.coords for c in classes], dtype=np.int64)
-    return arr @ lat.gram @ arr.T
+def incidence_matrix(lat: PicardLattice, classes: list[LatticeClass]) -> tuple[tuple[int, ...], ...]:
+    """Pairwise intersection numbers as int rows."""
+    return tuple(tuple(lat.intersection(a, b) for b in classes) for a in classes)

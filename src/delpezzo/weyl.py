@@ -49,9 +49,12 @@ class Isometry:
     __slots__ = ("lattice", "matrix", "_np")
 
     def __init__(self, lattice: PicardLattice, matrix, _validate: bool = True):
-        arr = np.asarray(matrix, dtype=np.int64)
+        arr = np.asarray(matrix)
         if arr.shape != (lattice.rank, lattice.rank):
             raise NotAnIsometry(f"matrix must be {lattice.rank}x{lattice.rank}")
+        if arr.dtype.kind not in "iu":  # floats and strings are not truncated to ints
+            raise NotAnIsometry("matrix entries must be integers")
+        arr = arr.astype(np.int64, copy=False)
         if _validate:
             g = lattice.gram
             if not np.array_equal(arr.T @ g @ arr, g):
@@ -72,6 +75,21 @@ class Isometry:
 
     def apply(self, c: LatticeClass) -> LatticeClass:
         return LatticeClass(tuple(int(x) for x in self._np @ np.array(c.coords)))
+
+    def trace(self) -> int:
+        return int(np.trace(self._np))
+
+    def permutation(self, classes) -> tuple[int, ...]:
+        """The index in `classes` of each class's image.
+
+        Raises ValueError when an image is not among the classes.
+        """
+        index = {c.coords: i for i, c in enumerate(classes)}
+        images = np.array([c.coords for c in classes], dtype=np.int64).reshape(-1, self.lattice.rank)
+        try:
+            return tuple(index[tuple(row)] for row in (images @ self._np.T).tolist())
+        except KeyError as exc:
+            raise ValueError(f"the image {exc.args[0]} is not among the classes") from None
 
     def __mul__(self, other: "Isometry") -> "Isometry":
         return Isometry(self.lattice, self._np @ other._np, _validate=False)
@@ -132,8 +150,12 @@ class IsometryGroup:
         for i in range(self.order):
             yield Isometry(self.lattice, self.matrices[i], _validate=False)
 
-    def contains_matrix(self, mat: np.ndarray) -> bool:
-        return bool((self.matrices == mat).all(axis=(1, 2)).any())
+    def __contains__(self, iso: Isometry) -> bool:
+        return iso.lattice == self.lattice and bool((self.matrices == iso.np).all(axis=(1, 2)).any())
+
+    def trace_sum(self) -> int:
+        """The sum of the traces of all elements."""
+        return int(np.einsum("nii->", self.matrices))
 
     def __len__(self):
         return self.order
@@ -278,7 +300,7 @@ def fingerprint(lat: PicardLattice, g: Isometry) -> ElementFingerprint:
     kperp, r, _ = _pdivmod(full, (-1, 1))  # K contributes the eigenvalue-1 factor
     if r:
         raise ArithmeticError("non-exact polynomial division")
-    trace = int(np.trace(g.np)) - 1
+    trace = g.trace() - 1
     fp = ElementFingerprint(
         trace_kperp=trace,
         charpoly_kperp=tuple(kperp),

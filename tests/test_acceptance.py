@@ -236,14 +236,14 @@ def test_criterion_08_delta_star_equivalence():
 def test_criterion_09_explicit_lines_cross_check():
     def run():
         lat3 = PicardLattice(3)
-        lat_cm3 = incidence_matrix(lat3, enumerate_exceptional(lat3))
+        lat_cm3 = np.array(incidence_matrix(lat3, enumerate_exceptional(lat3)))
         np.fill_diagonal(lat_cm3, 0)
         for lines in (fermat_lines(), clebsch_lines()):
             cm = np.array(incidence_graph(lines))
             iso = colorgraph.isomorphism(cm, ["v"] * 27, lat_cm3, ["v"] * 27)
             assert iso is not None
         lat2 = PicardLattice(2)
-        lat_cm2 = incidence_matrix(lat2, enumerate_exceptional(lat2))
+        lat_cm2 = np.array(incidence_matrix(lat2, enumerate_exceptional(lat2)))
         np.fill_diagonal(lat_cm2, 0)
         cm56 = np.array(dp2_incidence_matrix(dp2_example_lines()))
         iso = colorgraph.isomorphism(cm56, ["v"] * 56, lat_cm2, ["v"] * 56)

@@ -153,6 +153,43 @@ def test_minimal_subcommand(capsys):
     assert data["results"]["contractible_set"] is None
 
 
+def test_minimal_rejects_a_sigma_out_of_range(capsys):
+    from delpezzo.picard import PicardLattice
+    from delpezzo.weyl import minus_on_kperp
+
+    payload = json.dumps([[list(row) for row in minus_on_kperp(PicardLattice(2)).matrix]])
+    for sigma in ("1", "3", "-1"):
+        code, out = _run(capsys, "minimal", "--degree", "2", "--generators", payload, "--sigma", sigma)
+        assert code == 2
+        assert "--sigma" in json.loads(out)["error"]
+
+
+def test_non_integer_matrix_entries_exit_2(capsys):
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    for bad in (1.9, "1"):
+        mat = [row[:] for row in eye]
+        mat[0][0] = bad
+        code, out = _run(capsys, "minimal", "--degree", "6", "--generators", json.dumps([mat]))
+        assert code == 2
+        assert "integers" in json.loads(out)["error"]
+    star = [[float(i == j) for j in range(9)] for i in range(9)]
+    code, out = _run(capsys, "dp1", "star", "--generator", json.dumps(star))
+    assert code == 2
+    assert "integers" in json.loads(out)["error"]
+
+
+def test_dp4_split_enumeration_is_refused_at_once(capsys, monkeypatch):
+    from delpezzo import dp4
+
+    def search(elements):
+        raise AssertionError(f"searched the subgroups of {len(elements)} elements")
+
+    monkeypatch.setattr(dp4, "all_subgroups", search)
+    code, out = _run(capsys, "dp4", "--form", "split", "--enumerate-minimal")
+    assert code == 2
+    assert "1920" in json.loads(out)["error"]
+
+
 def test_table_flags_a_scan_cut_by_its_budget(capsys, monkeypatch):
     from delpezzo import weyl
 
@@ -322,8 +359,8 @@ def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
 
 
 def test_subcommands_import_only_what_they_use():
-    """The CLI starts without numpy, table 5 and the dp4 requests run
-    without it, and a dp4 rank never loads the Weyl-group layer."""
+    """The CLI starts without numpy, `lattice`, table 5 and the dp4 requests
+    run without it, and a dp4 rank never loads the Weyl-group layer."""
     rank = json.dumps([{"sign": [0, 0, 0, 0, 0], "perm": [1, 2, 3, 4, 5]}])
     out = _child(
         "import contextlib, io, json, sys\n"
@@ -332,7 +369,9 @@ def test_subcommands_import_only_what_they_use():
         "import delpezzo.cli as cli\n"
         "seen = [loaded()]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['table', '--id', '5'])]\n"
+        "    codes = [cli.main(['lattice', '--degree', '3', '--what', 'lines'])]\n"
+        "    seen.append(loaded())\n"
+        "    codes.append(cli.main(['table', '--id', '5']))\n"
         "    seen.append(loaded())\n"
         f"    codes.append(cli.main(['dp4', '--form', 'q31-0-2', '--rank-elements', {rank!r}]))\n"
         "    seen.append(loaded())\n"
@@ -340,9 +379,10 @@ def test_subcommands_import_only_what_they_use():
         "    seen.append(loaded())\n"
         "print(json.dumps([codes, seen]))\n"
     )
-    codes, (at_import, after_table, after_dp4, after_minimal) = json.loads(out)
-    assert codes == [0, 0, 0]
+    codes, (at_import, after_lattice, after_table, after_dp4, after_minimal) = json.loads(out)
+    assert codes == [0, 0, 0, 0]
     assert at_import == ["delpezzo", "delpezzo.cli", "delpezzo.tables"]
+    assert "numpy" not in after_lattice and "delpezzo.picard" in after_lattice
     assert "numpy" not in after_table and "delpezzo.explicitlines" in after_table
     assert "delpezzo.weyl" not in after_dp4 and "delpezzo.dp4" in after_dp4
     assert "numpy" not in after_minimal

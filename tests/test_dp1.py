@@ -224,7 +224,7 @@ def test_star_configurations():
             for a in stars[i].classes:
                 for b in stars[j].classes:
                     assert lat.intersection(a, b) == 1
-    basis = star_basis(lat, stars)
+    basis = np.array(star_basis(lat, stars))
     assert np.linalg.matrix_rank(basis.astype(float)) == 8
 
 

@@ -9,6 +9,7 @@ from delpezzo.dp4 import (
     DP4Element,
     DegeneratePencil,
     IDENTITY,
+    MAX_ENUMERATED_AMBIENT,
     NotAGroup,
     REAL_FORMS,
     PencilSpec,
@@ -186,6 +187,26 @@ def test_invariant_rank_examples():
     assert dp4_invariant_rank({IDENTITY}, get_form("split")) == 6
     with pytest.raises(NotAGroup):
         dp4_invariant_rank({IDENTITY, g}, q31)
+
+
+def test_split_enumeration_is_refused_before_any_subgroup_search(monkeypatch):
+    from delpezzo import dp4
+
+    def search(elements):
+        raise AssertionError(f"searched the subgroups of {len(elements)} elements")
+
+    monkeypatch.setattr(dp4, "all_subgroups", search)
+    split = get_form("split")
+    with pytest.raises(UnsupportedForm):
+        enumerate_strongly_minimal(split)
+    with pytest.raises(UnsupportedForm):
+        enumerate_strongly_minimal(split, ambient=ambient_group(split))
+
+
+def test_only_the_split_ambient_exceeds_the_enumeration_limit():
+    sizes = {label: len(ambient_group(form)) for label, form in REAL_FORMS.items()}
+    assert sizes == {"split": 1920, "q31_02": 16, "p2_12": 16, "p2_31": 96, "q22_02": 192}
+    assert [label for label, n in sizes.items() if n > MAX_ENUMERATED_AMBIENT] == ["split"]
 
 
 def test_delta_criterion_examples():

@@ -198,7 +198,7 @@ def _to_np(mat):
 
 def test_coordinate_lattice_isomorphism_deg3():
     lat = PicardLattice(3)
-    lattice_cm = incidence_matrix(lat, enumerate_exceptional(lat))
+    lattice_cm = np.array(incidence_matrix(lat, enumerate_exceptional(lat)))
     np.fill_diagonal(lattice_cm, 0)
     for lines in (fermat_lines(), clebsch_lines()):
         cm = _to_np(incidence_graph(lines))
@@ -212,7 +212,7 @@ def test_coordinate_lattice_isomorphism_deg3():
 
 def test_coordinate_lattice_isomorphism_deg2():
     lat = PicardLattice(2)
-    lattice_cm = incidence_matrix(lat, enumerate_exceptional(lat))
+    lattice_cm = np.array(incidence_matrix(lat, enumerate_exceptional(lat)))
     np.fill_diagonal(lattice_cm, 0)
     cm = _to_np(dp2_incidence_matrix(dp2_example_lines()))
     iso = colorgraph.isomorphism(cm, ["v"] * 56, lattice_cm, ["v"] * 56)

@@ -92,16 +92,16 @@ def test_tritangent_trios():
 
 def test_incidence_regularity():
     lat3 = PicardLattice(3)
-    m3 = incidence_matrix(lat3, enumerate_exceptional(lat3))
+    m3 = np.array(incidence_matrix(lat3, enumerate_exceptional(lat3)))
     assert all((row == 1).sum() == 10 for row in m3)
     lat4 = PicardLattice(4)
-    m4 = incidence_matrix(lat4, enumerate_exceptional(lat4))
+    m4 = np.array(incidence_matrix(lat4, enumerate_exceptional(lat4)))
     assert all((row == 1).sum() == 5 for row in m4)
 
 
 def test_hexagon_is_six_cycle():
     lat = PicardLattice(6)
-    m = incidence_matrix(lat, enumerate_exceptional(lat))
+    m = np.array(incidence_matrix(lat, enumerate_exceptional(lat)))
     off = m.copy()
     np.fill_diagonal(off, 0)
     assert all((row == 1).sum() == 2 for row in off)

@@ -8,7 +8,13 @@ import pytest
 from delpezzo import tables
 from delpezzo._kernels import enumerate_cliques
 from delpezzo.confgraphs import hexagon_sigma_isometry
-from delpezzo.picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_roots
+from delpezzo.picard import (
+    LatticeClass,
+    PicardLattice,
+    UnsupportedDegree,
+    enumerate_exceptional,
+    enumerate_roots,
+)
 from delpezzo.weyl import (
     CapExceeded,
     Isometry,
@@ -179,8 +185,8 @@ def test_membership_of_alternating_groups():
     for _ in range(3):
         for ctx, mine in zip(ctxs, members):
             for m in weyl.matrices:
-                assert ctx.group.contains_matrix(m) == (m.tobytes() in mine)
-            assert ctx.group.contains_matrix(ctx.sigma.np)
+                assert (Isometry(lat, m, _validate=False) in ctx.group) == (m.tobytes() in mine)
+            assert ctx.sigma in ctx.group
     with pytest.raises(ValueError):
         ActionContext(lat, ctxs[0].group, sigma=sigmas[1])
     # a group no longer referenced is freed
@@ -404,3 +410,59 @@ def test_frame_matrix_is_commuting_product():
     i, j = found
     prod = reflection(lat, roots[i]) * reflection(lat, roots[j])
     assert np.array_equal(frame_matrix(lat, arr[[i, j]]), prod.np)
+
+
+def _permutation_by_lookup(g, lines):
+    """The line permutation as callers computed it before `Isometry.permutation`."""
+    arr = np.array([e.coords for e in lines], dtype=np.int64)
+    index = {e.coords: i for i, e in enumerate(lines)}
+    return [index[tuple(int(x) for x in row)] for row in arr @ g.np.T]
+
+
+def test_permutation_matches_the_coordinate_lookup():
+    for degree in range(1, 7):
+        lat = PicardLattice(degree)
+        lines = enumerate_exceptional(lat)
+        isos = [reflection(lat, s) for s in simple_roots(lat)]
+        if degree <= 2:
+            isos.append(minus_on_kperp(lat))
+        for g in isos:
+            perm = g.permutation(lines)
+            assert list(perm) == _permutation_by_lookup(g, lines)
+            assert sorted(perm) == list(range(len(lines)))
+
+
+def test_permutation_rejects_classes_the_isometry_does_not_preserve():
+    lat = PicardLattice(3)
+    swap = reflection(lat, _cls(0, 1, -1, 0, 0, 0, 0))  # exchanges e_1 and e_2
+    assert swap.permutation([_cls(0, 1, 0, 0, 0, 0, 0), _cls(0, 0, 1, 0, 0, 0, 0)]) == (1, 0)
+    with pytest.raises(ValueError):
+        swap.permutation([_cls(0, 1, 0, 0, 0, 0, 0)])
+
+
+def test_trace_and_trace_sum_equal_the_einsum_traces():
+    for degree in (4, 5, 6):
+        group = full_weyl_group(degree)
+        traces = np.einsum("nii->n", group.matrices)
+        assert group.trace_sum() == int(traces.sum())
+        assert [g.trace() for g in group.elements()] == traces.tolist()
+
+
+def test_group_membership_operator():
+    lat = PicardLattice(6)
+    sigmas = [hexagon_sigma_isometry(lat, p) for p in ("fig_a", "fig_b")]
+    group = close_group(lat, sigmas[:1], cap=10)
+    assert sigmas[0] in group and identity(lat) in group
+    assert sigmas[1] not in group
+    assert identity(PicardLattice(5)) not in full_weyl_group(6)
+
+
+def test_isometry_rejects_non_integer_entries():
+    lat = PicardLattice(6)
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert Isometry(lat, eye).is_identity()
+    for bad in (1.9, 1.0, "1"):
+        mat = [row[:] for row in eye]
+        mat[0][0] = bad
+        with pytest.raises(NotAnIsometry):
+            Isometry(lat, mat)
