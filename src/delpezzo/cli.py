@@ -64,12 +64,19 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return out
 
 
-def _load_json_arg(text: str):
+def _load_json_arg(text: str) -> list:
+    """A JSON list given inline or as the path of a file holding it."""
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError:
-        with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"{text!r} is neither JSON nor a readable file ({exc.strerror})") from None
+    if not isinstance(data, list):
+        raise UsageError(f"expected a JSON list, got {json.dumps(data)}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +266,8 @@ def cmd_dp4(args):
         return _report("dp4", {"form": form.label, "enumerate_minimal": True}, results)
     if args.rank_elements:
         raw = _load_json_arg(args.rank_elements)
+        if not all(isinstance(e, dict) and "sign" in e and "perm" in e for e in raw):
+            raise UsageError("every --rank-elements entry needs a sign and a perm")
         subgroup = {DP4Element(tuple(e["sign"]), tuple(p - 1 for p in e["perm"])) for e in raw}
         rank = dp4_invariant_rank(subgroup, form)
         return _report(
@@ -514,7 +523,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         out = args.func(args)
-    except ValueError as exc:  # UsageError, UnsupportedDegree and ParseError included
+    except ValueError as exc:  # UsageError, UnsupportedDegree, ParseError and CapExceeded included
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 2
     if isinstance(out, str):  # DOT

@@ -53,20 +53,9 @@ def build_graph(lat: PicardLattice, sigma: Isometry) -> ColoredIncidenceGraph:
     for v, w in enumerate(perm):
         if perm[w] != v:
             raise ValueError("sigma does not act as an involution on the lines")
-    blocks, flags, seen = [], [], set()
-    for v in range(len(lines)):
-        if v in seen:
-            continue
-        w = perm[v]
-        if w == v:
-            blocks.append((v,))
-            flags.append(True)
-            seen.add(v)
-        else:
-            blocks.append((v, w))
-            flags.append(False)
-            seen.update((v, w))
-    return ColoredIncidenceGraph(tuple(lines), adjacency, tuple(blocks), tuple(flags))
+    blocks = tuple(tuple(orbit) for orbit in colorgraph._orbits([perm], len(lines)))
+    flags = tuple(len(blk) == 1 for blk in blocks)
+    return ColoredIncidenceGraph(tuple(lines), adjacency, blocks, flags)
 
 
 def colored_automorphisms(graph: ColoredIncidenceGraph) -> PermGroup:

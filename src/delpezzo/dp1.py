@@ -10,12 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
 from . import realroots
+from .colorgraph import _orbits
 from .exactnum import _poly_mul, _solve
 from .invforms import BinaryForm, PointGroup2D, group_from_label, in_span, invariant_subspace
 from .picard import LatticeClass, PicardLattice, enumerate_exceptional
-from .weyl import Isometry, _poly_from_factors, fingerprint, minus_on_kperp, reflection
+
+if TYPE_CHECKING:
+    from .weyl import Isometry
 
 
 class NonSquarefreeDiscriminant(ValueError):
@@ -233,6 +237,8 @@ def a22_element(lat: PicardLattice) -> Isometry:
     """A reference order-3 element of type A_2^2: the product of Coxeter
     rotations of two orthogonal A_2 root subsystems e_1-e_2, e_2-e_3 and
     e_4-e_5, e_5-e_6."""
+    from .weyl import reflection
+
     if lat.degree != 1:
         raise ValueError("the reference element lives on degree 1")
 
@@ -249,6 +255,8 @@ def a22_element(lat: PicardLattice) -> Isometry:
 
 
 def _is_a22(lat: PicardLattice, g: Isometry) -> bool:
+    from .weyl import _poly_from_factors, fingerprint
+
     fp = fingerprint(lat, g)
     if fp.order != 3 or fp.trace_kperp != 2:
         return False
@@ -261,6 +269,8 @@ def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
     and the two stars rotated by g, pairwise asynchronized; also verifies
     the block form I_4 + [[-1,-1],[1,0]] + [[-1,-1],[1,0]] of g on the basis
     built from adjacent star classes."""
+    from .weyl import minus_on_kperp
+
     lat = g.lattice
     if lat.degree != 1:
         raise NotTypeA2Squared("star configurations live on degree 1")
@@ -315,15 +325,13 @@ def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
     # faithful stars: g-orbits {e, ge, g^2 e} of mutually twice-meeting
     # classes; a star is an orbit together with its Bertini image, so each
     # star arises from two orbits and is deduplicated by its index set
-    seen: set[int] = set()
     star_sets: set[frozenset[int]] = set()
-    for i in range(len(lines)):
-        if i in seen or perm[i] == i:
+    for orbit in _orbits([perm], len(lines)):
+        if len(orbit) == 1:
             continue
-        orbit = [i, perm[i], perm[perm[i]]]
-        seen.update(orbit)
-        if meet(orbit[0], orbit[1]) == meet(orbit[0], orbit[2]) == meet(orbit[1], orbit[2]) == 2:
-            e, ge, gge = orbit
+        e = orbit[0]
+        ge, gge = perm[e], perm[perm[e]]
+        if meet(e, ge) == meet(e, gge) == meet(ge, gge) == 2:
             ordered = [e, beta_perm[gge], ge, beta_perm[e], gge, beta_perm[ge]]
             key = frozenset(ordered)
             if key in star_sets:
@@ -384,6 +392,8 @@ def _verify_block_matrix(lat: PicardLattice, g: Isometry, stars) -> None:
 
 def bertini_twist_trace_identity(lat: PicardLattice, sigma: Isometry) -> bool:
     """tr of (Bertini o sigma) on K-perp equals minus the trace of sigma."""
+    from .weyl import minus_on_kperp
+
     beta = minus_on_kperp(lat)
     lhs = (beta * sigma).trace() - 1
     rhs = -(sigma.trace() - 1)

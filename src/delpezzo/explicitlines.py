@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from .colorgraph import _orbits
 from .exactnum import CycloNum, conj, cyclo_make
 
 
@@ -481,23 +482,13 @@ def dp2_orbit_report(w_sign: int = 1) -> dict:
     perm = [_line_index(lines, dp2_rotation(l, w_sign)) for l in lines]
     conj_perm = [_line_index(lines, dp2_conjugate(l)) for l in lines]
     inc = dp2_incidence_matrix(lines)
-    seen = [False] * len(lines)
     orbits = []
-    for start in range(len(lines)):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        cur = perm[start]
-        while cur != start:
-            orbit.append(cur)
-            seen[cur] = True
-            cur = perm[cur]
+    for orbit in _orbits([perm], len(lines)):
         disjoint = all(inc[i][j] == 0 for i in orbit for j in orbit if i != j)
         stable = {conj_perm[i] for i in orbit} == set(orbit)
         orbits.append(
             {
-                "indices": sorted(orbit),
+                "indices": orbit,
                 "size": len(orbit),
                 "pairwise_disjoint": disjoint,
                 "conjugation_stable": stable,

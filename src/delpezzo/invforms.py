@@ -167,11 +167,12 @@ def standard_dihedral(n: int) -> PointGroup2D:
 
 def group_from_label(label: str) -> PointGroup2D:
     key = label.lower().replace("/", "")
-    if key.startswith("z"):
-        return standard_cyclic(int(key[1:]))
-    if key.startswith("d"):
-        return standard_dihedral(int(key[1:]))
-    raise ValueError(f"unknown 2D point group label {label!r}")
+    if key[:1] not in ("z", "d"):
+        raise ValueError(f"unknown 2D point group label {label!r}")
+    n = int(key[1:])
+    if n < 1:
+        raise ValueError(f"2D point group label {label!r} needs n >= 1")
+    return standard_cyclic(n) if key[0] == "z" else standard_dihedral(n)
 
 
 def is_invariant(g: PointGroup2D, f: BinaryForm) -> bool:

@@ -234,6 +234,20 @@ def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     return sorted(out)
 
 
+def _halve(chain, lo: Fraction, hi: Fraction, vlo: int):
+    """One bisection step on an isolating interval of chain[0]'s root.
+
+    Returns the half that holds the root with the sign variations at its
+    left end, or (mid, mid, None) when mid is the root."""
+    mid = (lo + hi) / 2
+    if _eval(chain[0], mid) == 0:
+        return mid, mid, None
+    vmid = _variations(chain, mid)
+    if vlo - vmid == 1:
+        return lo, mid, vlo
+    return mid, hi, vmid
+
+
 def tighten_interval(p, interval: tuple[Fraction, Fraction], max_width: Fraction):
     """Shrink an isolating interval of p below max_width by bisection."""
     lo, hi = interval
@@ -242,15 +256,8 @@ def tighten_interval(p, interval: tuple[Fraction, Fraction], max_width: Fraction
     lo, hi = Fraction(lo), Fraction(hi)
     chain = _sturm(_primitive(p))
     vlo = _variations(chain, lo)
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        if _eval(chain[0], mid) == 0:
-            return (mid, mid)
-        vmid = _variations(chain, mid)
-        if vlo - vmid == 1:
-            hi = mid
-        else:
-            lo, vlo = mid, vmid
+    while hi - lo > max_width and vlo is not None:
+        lo, hi, vlo = _halve(chain, lo, hi, vlo)
     return (lo, hi)
 
 
@@ -279,11 +286,6 @@ def sign_at_root(p, interval: tuple[Fraction, Fraction], q) -> int:
         v = _eval(q, lo)
         if v != 0 and _count(chain_q, lo, hi) == 0:
             return _sign(v)
-        mid = (lo + hi) / 2
-        if _eval(sf, mid) == 0:
-            return _sign(_eval(q, mid))
-        vp_mid = _variations(chain_p, mid)
-        if vp_lo - vp_mid == 1:
-            hi = mid
-        else:
-            lo, vp_lo = mid, vp_mid
+        lo, hi, vp_lo = _halve(chain_p, lo, hi, vp_lo)
+        if vp_lo is None:
+            return _sign(_eval(q, lo))

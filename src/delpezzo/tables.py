@@ -269,15 +269,4 @@ def _table_7(partial):
     return results, checks
 
 
-EXCEPTIONAL_COUNTS = {
-    7: {"value": 3, "source": "section:4"},
-    6: {"value": 6, "source": "section:4:six-curves"},
-    5: {"value": 10, "source": "section:5"},
-    4: {"value": 16, "source": "table:4"},
-    3: {"value": 27, "source": "section:7:27-lines"},
-    2: {"value": 56, "source": "table:6:row:id"},
-    1: {"value": 240, "source": "table:7:row:1"},
-}
-
-
 _TABLES = {1: _table_1, 2: _table_2, 3: _table_3, 4: _table_4, 5: _table_5, 6: _table_6, 7: _table_7}

@@ -35,7 +35,7 @@ class NotAnIsometry(ValueError):
     pass
 
 
-class CapExceeded(RuntimeError):
+class CapExceeded(ValueError):
     def __init__(self, partial_size: int, cap: int):
         super().__init__(f"group closure exceeded cap {cap} (reached {partial_size})")
         self.partial_size = partial_size
@@ -278,37 +278,29 @@ def element_order(g: Isometry, cap: int = 1000) -> int:
     raise ArithmeticError(f"element order exceeds {cap}")
 
 
-def _count_fixed_lines(lat: PicardLattice, mat: np.ndarray) -> int:
-    lines = np.array([e.coords for e in enumerate_exceptional(lat)], dtype=np.int64)
-    images = lines @ mat.T
-    return int((images == lines).all(axis=1).sum())
-
-
-def _count_fixed_trios(lat: PicardLattice, mat: np.ndarray) -> int:
-    trios = tritangent_trios(lat)
-    count = 0
-    for trio in trios:
-        imgs = {tuple(int(x) for x in mat @ np.array(t.coords)) for t in trio}
-        if imgs == {t.coords for t in trio}:
-            count += 1
-    return count
-
-
 def fingerprint(lat: PicardLattice, g: Isometry) -> ElementFingerprint:
-    """Trace/charpoly on the orthogonal complement of K, order, fixed lines."""
+    """Trace/charpoly on the orthogonal complement of K, order, fixed lines
+    and (degree 3) fixed tritangent trios, read off the line permutation."""
     full = _charpoly_int(g.np)
     kperp, r, _ = _pdivmod(full, (-1, 1))  # K contributes the eigenvalue-1 factor
     if r:
         raise ArithmeticError("non-exact polynomial division")
-    trace = g.trace() - 1
-    fp = ElementFingerprint(
-        trace_kperp=trace,
+    lines = enumerate_exceptional(lat)
+    perm = g.permutation(lines)
+    trios = None
+    if lat.degree == 3:
+        index = {c.coords: i for i, c in enumerate(lines)}
+        trios = 0
+        for trio in tritangent_trios(lat):
+            idx = {index[t.coords] for t in trio}
+            trios += {perm[i] for i in idx} == idx
+    return ElementFingerprint(
+        trace_kperp=g.trace() - 1,
         charpoly_kperp=tuple(kperp),
-        fixed_line_count=_count_fixed_lines(lat, g.np),
+        fixed_line_count=sum(i == j for i, j in enumerate(perm)),
         order=element_order(g),
-        fixed_trio_count=_count_fixed_trios(lat, g.np) if lat.degree == 3 else None,
+        fixed_trio_count=trios,
     )
-    return fp
 
 
 def minus_on_kperp(lat: PicardLattice) -> Isometry:

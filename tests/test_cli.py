@@ -178,6 +178,34 @@ def test_non_integer_matrix_entries_exit_2(capsys):
     assert "integers" in json.loads(out)["error"]
 
 
+def _e6_simple_reflections() -> str:
+    from delpezzo.picard import PicardLattice
+    from delpezzo.weyl import reflection, simple_roots
+
+    lat = PicardLattice(3)
+    return json.dumps([[list(row) for row in reflection(lat, s).matrix] for s in simple_roots(lat)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minimal", "--degree", "3", "--generators", _e6_simple_reflections(), "--cap", "100"],
+        ["minimal", "--degree", "3", "--generators", "5"],
+        ["classify-involution", "--degree", "3", "--roots", "7"],
+        ["minimal", "--degree", "3", "--generators", "nosuchfile"],
+        ["dp4", "--form", "q31-0-2", "--rank-elements", '[{"sign": [0, 0, 0, 0, 0]}]'],
+        ["invariants", "--group", "z0", "--degree", "2"],
+        ["invariants", "--group", "d0", "--degree", "2"],
+    ],
+    ids=["cap", "generators-not-a-list", "roots-not-a-list", "no-such-file", "element-without-perm", "z0", "d0"],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    code, out = _run(capsys, *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
 def test_dp4_split_enumeration_is_refused_at_once(capsys, monkeypatch):
     from delpezzo import dp4
 
@@ -359,8 +387,9 @@ def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
 
 
 def test_subcommands_import_only_what_they_use():
-    """The CLI starts without numpy, `lattice`, table 5 and the dp4 requests
-    run without it, and a dp4 rank never loads the Weyl-group layer."""
+    """The CLI starts without numpy, `lattice`, table 5, the dp4 requests and
+    `dp1 rationality` run without it, and a dp4 rank never loads the
+    Weyl-group layer."""
     rank = json.dumps([{"sign": [0, 0, 0, 0, 0], "perm": [1, 2, 3, 4, 5]}])
     out = _child(
         "import contextlib, io, json, sys\n"
@@ -377,12 +406,15 @@ def test_subcommands_import_only_what_they_use():
         "    seen.append(loaded())\n"
         "    codes.append(cli.main(['dp4', '--form', 'q31-0-2', '--enumerate-minimal']))\n"
         "    seen.append(loaded())\n"
+        "    codes.append(cli.main(['dp1', 'rationality', '--f4=-2,0,-2,0,-2', '--f6=-1,0,-2,0,-2,0,2']))\n"
+        "    seen.append(loaded())\n"
         "print(json.dumps([codes, seen]))\n"
     )
-    codes, (at_import, after_lattice, after_table, after_dp4, after_minimal) = json.loads(out)
-    assert codes == [0, 0, 0, 0]
+    codes, (at_import, after_lattice, after_table, after_dp4, after_minimal, after_dp1) = json.loads(out)
+    assert codes == [0, 0, 0, 0, 0]
     assert at_import == ["delpezzo", "delpezzo.cli", "delpezzo.tables"]
     assert "numpy" not in after_lattice and "delpezzo.picard" in after_lattice
     assert "numpy" not in after_table and "delpezzo.explicitlines" in after_table
     assert "delpezzo.weyl" not in after_dp4 and "delpezzo.dp4" in after_dp4
     assert "numpy" not in after_minimal
+    assert "numpy" not in after_dp1 and "delpezzo.dp1" in after_dp1

@@ -156,3 +156,27 @@ def test_dp5_patterns_validated():
     with pytest.raises(ValueError):
         dp5_sigma_isometry(lat, "fig_c")
     assert set(DP5_PATTERNS) == {"split", "fig_a", "fig_b"}
+
+
+def _blocks_by_pairing(perm):
+    """Singleton and two-element sigma-blocks in order of their least vertex."""
+    blocks, flags, seen = [], [], set()
+    for v, w in enumerate(perm):
+        if v in seen:
+            continue
+        blocks.append((v,) if w == v else (v, w))
+        flags.append(w == v)
+        seen.update((v, w))
+    return tuple(blocks), tuple(flags)
+
+
+def test_blocks_are_the_sigma_orbits():
+    patterns = [(6, p, hexagon_sigma_isometry) for p in SIGMA_PATTERNS]
+    patterns += [(5, p, dp5_sigma_isometry) for p in DP5_PATTERNS]
+    assert len(patterns) == 7
+    for degree, pattern, make in patterns:
+        lat = PicardLattice(degree)
+        sigma = make(lat, pattern)
+        graph = build_graph(lat, sigma)
+        expected = _blocks_by_pairing(sigma.permutation(graph.vertices))
+        assert (graph.blocks, graph.real_flags) == expected, pattern

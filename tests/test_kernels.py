@@ -7,7 +7,7 @@ import pytest
 from delpezzo import _kernels
 from delpezzo._kernels import enumerate_cliques, fixed_counts
 from delpezzo.picard import PicardLattice, enumerate_exceptional
-from delpezzo.weyl import _count_fixed_lines, _positive_roots, frame_matrix
+from delpezzo.weyl import _positive_roots, frame_matrix
 
 
 def _data(degree):
@@ -155,6 +155,13 @@ def test_clique_cap_must_be_positive():
     for k in (0, 1):
         with pytest.raises(ValueError):
             enumerate_cliques(adj, k, 0)
+
+
+def _count_fixed_lines(lat, mat):
+    """Fixed lines by comparing each line with its image under the matrix."""
+    lines = np.array([e.coords for e in enumerate_exceptional(lat)], dtype=np.int64)
+    images = lines @ mat.T
+    return int((images == lines).all(axis=1).sum())
 
 
 def test_fixed_count_paths_agree():

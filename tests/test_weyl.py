@@ -14,6 +14,7 @@ from delpezzo.picard import (
     UnsupportedDegree,
     enumerate_exceptional,
     enumerate_roots,
+    tritangent_trios,
 )
 from delpezzo.weyl import (
     CapExceeded,
@@ -466,3 +467,32 @@ def test_isometry_rejects_non_integer_entries():
         mat[0][0] = bad
         with pytest.raises(NotAnIsometry):
             Isometry(lat, mat)
+
+
+def _fixed_lines_and_trios_by_images(lat, g):
+    """Fixed lines and (degree 3) fixed trios by comparing coordinate images."""
+    lines = np.array([e.coords for e in enumerate_exceptional(lat)], dtype=np.int64)
+    fixed_lines = int((lines @ g.np.T == lines).all(axis=1).sum())
+    if lat.degree != 3:
+        return fixed_lines, None
+    fixed_trios = 0
+    for trio in tritangent_trios(lat):
+        imgs = {tuple(int(x) for x in g.np @ np.array(t.coords)) for t in trio}
+        if imgs == {t.coords for t in trio}:
+            fixed_trios += 1
+    return fixed_lines, fixed_trios
+
+
+def test_fingerprint_counts_match_the_coordinate_images():
+    group = full_weyl_group(3)
+    lat = group.lattice
+    picks = random.Random(20).sample(range(group.order), 200)
+    isos = [Isometry(lat, group.matrices[i], _validate=False) for i in picks]
+    for degree in range(1, 7):
+        lat = PicardLattice(degree)
+        isos += [reflection(lat, s) for s in simple_roots(lat)]
+        if degree <= 2:
+            isos.append(minus_on_kperp(lat))
+    for g in isos:
+        fp = fingerprint(g.lattice, g)
+        assert (fp.fixed_line_count, fp.fixed_trio_count) == _fixed_lines_and_trios_by_images(g.lattice, g)
