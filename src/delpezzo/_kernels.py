@@ -3,7 +3,8 @@
 A vertex set is a row of little-endian uint64 words in which bit v of the
 row stands for vertex v.  `enumerate_cliques` grows all cliques one vertex
 per level, a whole level at a time; `fixed_counts` ANDs the packed masks of
-each frame's rows and counts the bits left.
+each frame's rows and counts the bits left.  The private helpers turn int
+rows into the scan's input and its output into one frame per count.
 """
 
 from __future__ import annotations
@@ -79,3 +80,18 @@ def fixed_counts(zero_masks: np.ndarray, frames: np.ndarray) -> np.ndarray:
     for col in range(1, frames.shape[1]):
         shared &= packed[frames[:, col]]
     return np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
+
+
+def _orthogonal(rows, gram, cols) -> np.ndarray:
+    """Boolean matrix whose (i, j) entry says row i of rows is orthogonal to
+    row j of cols under the int-row form gram."""
+    a = np.array(rows, dtype=np.int64)
+    b = np.array(cols, dtype=np.int64)
+    return (a @ np.array(gram, dtype=np.int64) @ b.T) == 0
+
+
+def _first_frames(counts: np.ndarray, frames: np.ndarray) -> list[tuple[int, list[int]]]:
+    """Each distinct count, largest first, with the vertices of the first
+    frame that has it."""
+    values, first = np.unique(counts, return_index=True)  # increasing counts
+    return [(c, frames[i].tolist()) for c, i in zip(values[::-1].tolist(), first[::-1].tolist())]

@@ -166,8 +166,6 @@ def cmd_minimal(args):
 
 def cmd_graph(args):
     from .confgraphs import (
-        DP5_PATTERNS,
-        SIGMA_PATTERNS,
         build_graph,
         colored_automorphisms,
         dp5_sigma_isometry,
@@ -177,14 +175,8 @@ def cmd_graph(args):
     from .picard import PicardLattice
 
     lat = PicardLattice(args.degree)
-    if args.degree == 6:
-        if args.sigma not in SIGMA_PATTERNS:
-            raise UsageError(f"degree 6 sigma pattern must be one of {SIGMA_PATTERNS}")
-        sigma = hexagon_sigma_isometry(lat, args.sigma)
-    else:
-        if args.sigma not in DP5_PATTERNS:
-            raise UsageError(f"degree 5 sigma pattern must be one of {DP5_PATTERNS}")
-        sigma = dp5_sigma_isometry(lat, args.sigma)
+    # an unknown pattern raises ValueError, which exits 2
+    sigma = (hexagon_sigma_isometry if args.degree == 6 else dp5_sigma_isometry)(lat, args.sigma)
     graph = build_graph(lat, sigma)
     aut = colored_automorphisms(graph)
     if args.dot:

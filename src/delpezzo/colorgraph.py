@@ -134,22 +134,33 @@ def generating_subset(perms):
     return gens
 
 
+def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _transversal(start, perms, n):
+    """Each point of the orbit of start under the group the permutations of
+    range(n) generate, mapped to a product of them that takes start there."""
+    reps = {start: tuple(range(n))}
+    queue = [start]
+    for v in queue:
+        for p in perms:
+            if p[v] not in reps:
+                reps[p[v]] = tuple(p[x] for x in reps[v])
+                queue.append(p[v])
+    return reps
+
+
 def _orbits(perms, n):
     """The orbits of the group the permutations generate on range(n), each sorted."""
-    seen = [False] * n
+    seen = set()
     out = []
     for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for p in perms:
-                if p[v] not in orbit:
-                    orbit.add(p[v])
-                    stack.append(p[v])
-        for v in orbit:
-            seen[v] = True
-        out.append(sorted(orbit))
+        if start not in seen:
+            orbit = sorted(_transversal(start, perms, n))
+            seen.update(orbit)
+            out.append(orbit)
     return out

@@ -177,19 +177,13 @@ def _dihedral_subgroups():
     return sorted(subs, key=lambda s: (len(s), s))
 
 
-def _power_r(a: int):
-    cur = tuple(range(6))
-    for _ in range(a % 6):
-        cur = colorgraph.compose(_R, cur)
-    return cur
-
-
 def _word_table() -> dict[tuple[int, ...], str]:
     words = {}
+    rot = tuple(range(6))
     for a in range(6):
-        rot = _power_r(a)
         words[rot] = {0: "1", 1: "r"}.get(a, f"r^{a}")
         words[colorgraph.compose(rot, _S)] = {0: "s", 1: "rs"}.get(a, f"r^{a}s")
+        rot = colorgraph.compose(_R, rot)
     return words
 
 
@@ -210,10 +204,6 @@ def subgroup_name(sub) -> str:
     return f"<{rot_gen},{refl}>"
 
 
-def _hexagon_disjoint(i: int, j: int) -> bool:
-    return (i - j) % 6 not in (1, 5) and i != j
-
-
 def hexagon_minimal_subgroups(sigma_pattern: str) -> list[dict]:
     """Subgroups of D_6 whose combined action with sigma admits no invariant
     set of pairwise-disjoint hexagon vertices.
@@ -227,7 +217,7 @@ def hexagon_minimal_subgroups(sigma_pattern: str) -> list[dict]:
         combined = colorgraph.close_permutations(list(sub) + [sigma], 6)
         minimal = True
         for orbit in colorgraph._orbits(sorted(combined), 6):
-            if all(_hexagon_disjoint(i, j) for i in orbit for j in orbit if i != j):
+            if all((i - j) % 6 not in (1, 5) for i in orbit for j in orbit if i != j):
                 minimal = False
                 break
         if minimal:

@@ -254,27 +254,20 @@ def a22_element(lat: PicardLattice) -> Isometry:
     return r1 * r2 * r3 * r4
 
 
-def _is_a22(lat: PicardLattice, g: Isometry) -> bool:
-    from .weyl import _poly_from_factors, fingerprint
-
-    fp = fingerprint(lat, g)
-    if fp.order != 3 or fp.trace_kperp != 2:
-        return False
-    # charpoly on K-perp must be (x^2+x+1)^2 (x-1)^4
-    return fp.charpoly_kperp == _poly_from_factors((1, 1, 1), (1, 1, 1), *[(-1, 1)] * 4)
-
-
 def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
     """For an order-3 element of type A_2^2: the two pointwise-fixed stars
     and the two stars rotated by g, pairwise asynchronized; also verifies
     the block form I_4 + [[-1,-1],[1,0]] + [[-1,-1],[1,0]] of g on the basis
     built from adjacent star classes."""
-    from .weyl import minus_on_kperp
+    from .weyl import _poly_from_factors, fingerprint, minus_on_kperp
 
     lat = g.lattice
     if lat.degree != 1:
         raise NotTypeA2Squared("star configurations live on degree 1")
-    if not _is_a22(lat, g):
+    fp = fingerprint(lat, g)
+    # order 3, trace 2 and charpoly (x^2+x+1)^2 (x-1)^4 on K-perp
+    a22 = _poly_from_factors((1, 1, 1), (1, 1, 1), *[(-1, 1)] * 4)
+    if (fp.order, fp.trace_kperp, fp.charpoly_kperp) != (3, 2, a22):
         raise NotTypeA2Squared("element is not of type A_2^2 with trace 2")
     lines = enumerate_exceptional(lat)
     perm = g.permutation(lines)
@@ -351,7 +344,8 @@ def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
                 for hb in stars[b].classes:
                     if lat.intersection(ha, hb) != 1:
                         raise NotTypeA2Squared("stars are not pairwise asynchronized")
-    _verify_block_matrix(lat, g, stars)
+    if star_block_matrix(lat, g, stars) != _A22_BLOCK_MATRIX:
+        raise NotTypeA2Squared("block matrix of g on the star basis is unexpected")
     return stars
 
 
@@ -383,11 +377,6 @@ _A22_BLOCK_MATRIX = (
     (0, 0, 0, 0, 0, 0, -1, -1),
     (0, 0, 0, 0, 0, 0, 1, 0),
 )
-
-
-def _verify_block_matrix(lat: PicardLattice, g: Isometry, stars) -> None:
-    if star_block_matrix(lat, g, stars) != _A22_BLOCK_MATRIX:
-        raise NotTypeA2Squared("block matrix of g on the star basis is unexpected")
 
 
 def bertini_twist_trace_identity(lat: PicardLattice, sigma: Isometry) -> bool:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from .colorgraph import _perm_inverse
 from .exactnum import _solve
 
 
@@ -55,13 +56,6 @@ def _check_sign(bits) -> tuple[int, ...]:
     if sum(bits) % 2 != 0:
         raise ValueError(f"sign vector {bits} has odd weight (not in A)")
     return bits
-
-
-def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
 
 
 def _perm_act(p: tuple[int, ...], bits: tuple[int, ...]) -> tuple[int, ...]:
@@ -199,7 +193,8 @@ def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> tuple[tupl
 # invariant rank and the counting shortcuts
 
 
-def _check_closed(subgroup) -> list[DP4Element]:
+def dp4_invariant_rank(subgroup, form: DP4RealForm):
+    """Character-formula rank over {1, sigma} x subgroup; exact Fraction."""
     elems = list(subgroup)
     eset = set(elems)
     if IDENTITY not in eset:
@@ -208,12 +203,6 @@ def _check_closed(subgroup) -> list[DP4Element]:
         for h in elems:
             if g * h not in eset:
                 raise NotAGroup(f"set is not closed: {g} * {h} missing")
-    return elems
-
-
-def dp4_invariant_rank(subgroup, form: DP4RealForm):
-    """Character-formula rank over {1, sigma} x subgroup; exact Fraction."""
-    elems = _check_closed(subgroup)
     total = 0
     for g in elems:
         for m in (dp4_matrix(g, form), dp4_matrix(g, form, with_sigma=True)):
@@ -315,11 +304,6 @@ def all_subgroups(elements: list[DP4Element]) -> list[frozenset[DP4Element]]:
     return sorted(found, key=lambda s: (len(s), sorted((g.sign, g.perm) for g in s)))
 
 
-def _conjugate(sub: frozenset[DP4Element], h: DP4Element) -> frozenset[DP4Element]:
-    hinv = h.inverse()
-    return frozenset(h * g * hinv for g in sub)
-
-
 def isomorphism_label(sub) -> str:
     """Coarse isomorphism type from order statistics (enough for 2-groups
     of order <= 16 and the small extensions met here)."""
@@ -381,7 +365,8 @@ def enumerate_strongly_minimal(form: DP4RealForm, ambient=None) -> list[MinimalS
             continue
         reps.append(s)
         for h in ambient:
-            seen.add(_conjugate(s, h))
+            hinv = h.inverse()
+            seen.add(frozenset(h * g * hinv for g in s))
     out = []
     for s in reps:
         elems = tuple(sorted(s, key=lambda g: (g.perm, g.sign)))

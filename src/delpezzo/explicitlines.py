@@ -284,10 +284,6 @@ def count_real_tritangents(lines: list[ProjSpaceLine], rs: TwistedRealStructure)
 _I = cyclo_make(4, 1)
 
 
-def _sqrt2() -> CycloNum:
-    return cyclo_make(8, 1) + cyclo_make(8, 7)
-
-
 @dataclass(frozen=True)
 class WeightedLine:
     """Line on the degree-2 surface: w = q(x,y,z) on the plane line l = 0.
@@ -342,7 +338,7 @@ def dp2_surface_value(x, y, z, w) -> CycloNum:
 
 def dp2_example_lines() -> list[WeightedLine]:
     """The theta/eta/sigma/tau families: 56 lines over Q(zeta_8)."""
-    sqrt2 = _sqrt2()
+    sqrt2 = cyclo_make(8, 1) + cyclo_make(8, 7)
     i = _I
     lines = []
     # theta: w = +-sqrt2 i z^2, x = alpha1 y, alpha1 = i(+-1 +- sqrt2)

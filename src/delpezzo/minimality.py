@@ -1,26 +1,21 @@
 """Invariant Picard rank, minimality tests, and Lefschetz Euler numbers.
 
-The invariant rank comes from the character formula
-rk Pic^(Gamma x G) = 1 + (1/|G|) sum tr(g* on K-perp); the independent
-oracle computes the rank of the common fixed sublattice by exact kernel
-computation.  Minimality of del Pezzo actions is certified by the absence
-of an invariant set of pairwise-disjoint exceptional classes.
+The invariant rank is the rank of the common fixed sublattice, computed
+exactly from the generators; the tests check it against the character
+formula rk Pic^(Gamma x G) = 1 + (1/|G|) sum tr(g* on K-perp).  Minimality
+of del Pezzo actions is certified by the absence of an invariant set of
+pairwise-disjoint exceptional classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .colorgraph import _orbits
 from .exactnum import _echelon
 from .picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_exceptional
 from .weyl import Isometry, IsometryGroup
-
-
-class NonIntegralRank(ArithmeticError):
-    """The trace average is not an integer: the input set is not a group."""
 
 
 @dataclass(frozen=True)
@@ -43,27 +38,12 @@ class ActionContext:
 
 
 def invariant_rank(ctx: ActionContext) -> int:
-    """1 + average trace on K-perp over the whole group, exactly."""
-    total = ctx.group.trace_sum() - ctx.group.order
-    avg = Fraction(total, ctx.group.order)
-    if avg.denominator != 1:
-        raise NonIntegralRank(
-            f"trace sum {total} not divisible by group order {ctx.group.order}"
-        )
-    return 1 + int(avg)
-
-
-def fixed_sublattice_rank(ctx: ActionContext) -> int:
-    """Rank of the common fixed space, via the kernel of stacked (M - I).
-
-    The fixed space of the group equals the fixed space of any generating
-    set; all elements are stacked at desk scale, generators otherwise.
-    """
-    group = ctx.group
-    elements = group.elements() if group.order <= 256 else group.generators
+    """Rank of the common fixed space: the lattice rank minus the rank of the
+    generators' stacked (M - I).  A group and any generating set of it fix
+    the same vectors."""
     rows = [
         [x - (i == j) for j, x in enumerate(row)]
-        for g in elements
+        for g in ctx.group.generators
         for i, row in enumerate(g.matrix)
     ]
     return ctx.lattice.rank - len(_echelon(rows)[1])

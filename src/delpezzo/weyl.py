@@ -1,25 +1,30 @@
 """Integer isometries of the Picard lattice fixing the canonical class.
 
-Covers reflection construction, group closure with a hard cap, trace and
-characteristic-polynomial fingerprints on the orthogonal complement of K,
-the anti-identity on that complement (Geiser/Bertini lattice action), the
-orthogonal-frame survey of involutions, and a fingerprint lookup for the
-named conjugacy classes used in the degree 1-4 classifications.
+Matrices are tuples of int rows.  Covers reflections, groups held as a base
+and strong generating set of their permutation of the lines, with a hard
+cap on the order, trace and characteristic-polynomial fingerprints on the
+orthogonal complement of K, the anti-identity on that complement
+(Geiser/Bertini lattice action), the orthogonal-frame survey of
+involutions, and a fingerprint lookup for the named conjugacy classes used
+in the degree 1-4 classifications.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
+from itertools import chain
+from math import prod
 
-import numpy as np
-
-from . import _kernels
+from .colorgraph import _perm_inverse, _transversal
 from .exactnum import _poly_mul
 from .picard import (
+    DimensionMismatch,
     LatticeClass,
     PicardLattice,
     UnsupportedDegree,
+    _exceptional_cached,
     enumerate_exceptional,
     enumerate_roots,
     tritangent_trios,
@@ -42,42 +47,61 @@ class CapExceeded(ValueError):
         self.cap = cap
 
 
-class Isometry:
-    """Integer matrix acting on column coordinate vectors, preserving the
-    intersection form and fixing K."""
+@lru_cache(maxsize=None)
+def _eye(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    __slots__ = ("lattice", "matrix", "_np")
+
+def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    """The product of two int-row matrices."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+
+
+def _apply(mat, v) -> tuple[int, ...]:
+    return tuple(sum(map(operator.mul, row, v)) for row in mat)
+
+
+class Isometry:
+    """Integer matrix, held as int rows, acting on column coordinate vectors;
+    it preserves the intersection form and fixes K."""
+
+    __slots__ = ("lattice", "matrix")
 
     def __init__(self, lattice: PicardLattice, matrix, _validate: bool = True):
-        arr = np.asarray(matrix)
-        if arr.shape != (lattice.rank, lattice.rank):
-            raise NotAnIsometry(f"matrix must be {lattice.rank}x{lattice.rank}")
-        if arr.dtype.kind not in "iu":  # floats and strings are not truncated to ints
+        n = lattice.rank
+        try:
+            rows = [list(row) for row in matrix]
+        except TypeError:
+            rows = None
+        if rows is None or len(rows) != n or any(len(row) != n for row in rows):
+            raise NotAnIsometry(f"matrix must be {n}x{n}")
+        try:  # floats and strings are not truncated to ints
+            mat = tuple(tuple(map(operator.index, row)) for row in rows)
+        except TypeError:
+            mat = None
+        if mat is None or bool in set(map(type, chain.from_iterable(rows))):  # nor is JSON true 1
             raise NotAnIsometry("matrix entries must be integers")
-        arr = arr.astype(np.int64, copy=False)
         if _validate:
             g = lattice.gram
-            if not np.array_equal(arr.T @ g @ arr, g):
+            if _matmul(_matmul(tuple(zip(*mat)), g), mat) != g:
                 raise NotAnIsometry("matrix does not preserve the intersection form")
-            k = np.array(lattice.canonical.coords, dtype=np.int64)
-            if not np.array_equal(arr @ k, k):
+            k = lattice.canonical.coords
+            if _apply(mat, k) != k:
                 raise NotAnIsometry("matrix does not fix the canonical class")
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "matrix", tuple(tuple(int(x) for x in row) for row in arr))
-        object.__setattr__(self, "_np", arr)
+        object.__setattr__(self, "matrix", mat)
 
     def __setattr__(self, *_):
         raise AttributeError("Isometry is immutable")
 
-    @property
-    def np(self) -> np.ndarray:
-        return self._np
-
     def apply(self, c: LatticeClass) -> LatticeClass:
-        return LatticeClass(tuple(int(x) for x in self._np @ np.array(c.coords)))
+        if len(c.coords) != self.lattice.rank:
+            raise DimensionMismatch(f"classes must have {self.lattice.rank} coordinates")
+        return LatticeClass(_apply(self.matrix, c.coords))
 
     def trace(self) -> int:
-        return int(np.trace(self._np))
+        return sum(row[i] for i, row in enumerate(self.matrix))
 
     def permutation(self, classes) -> tuple[int, ...]:
         """The index in `classes` of each class's image.
@@ -85,25 +109,24 @@ class Isometry:
         Raises ValueError when an image is not among the classes.
         """
         index = {c.coords: i for i, c in enumerate(classes)}
-        images = np.array([c.coords for c in classes], dtype=np.int64).reshape(-1, self.lattice.rank)
         try:
-            return tuple(index[tuple(row)] for row in (images @ self._np.T).tolist())
+            return tuple(index[_apply(self.matrix, c.coords)] for c in classes)
         except KeyError as exc:
             raise ValueError(f"the image {exc.args[0]} is not among the classes") from None
 
     def __mul__(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.lattice, self._np @ other._np, _validate=False)
+        return Isometry(self.lattice, _matmul(self.matrix, other.matrix), _validate=False)
 
     def inverse(self) -> "Isometry":
         # M^T G M = G and G^-1 = G for G = diag(1, -1, ..., -1) give M^-1 = G M^T G
         g = self.lattice.gram
-        inv = g @ self._np.T @ g
-        if not np.array_equal(self._np @ inv, np.eye(self.lattice.rank, dtype=np.int64)):
+        inv = _matmul(_matmul(g, tuple(zip(*self.matrix))), g)
+        if _matmul(self.matrix, inv) != _eye(self.lattice.rank):
             raise NotAnIsometry("matrix does not preserve the intersection form")
         return Isometry(self.lattice, inv, _validate=False)
 
     def is_identity(self) -> bool:
-        return np.array_equal(self._np, np.eye(self.lattice.rank, dtype=np.int64))
+        return self.matrix == _eye(self.lattice.rank)
 
     def __eq__(self, other):
         return (
@@ -120,96 +143,123 @@ class Isometry:
 
 
 def identity(lat: PicardLattice) -> Isometry:
-    return Isometry(lat, np.eye(lat.rank, dtype=np.int64), _validate=False)
+    return Isometry(lat, _eye(lat.rank), _validate=False)
 
 
 def reflection(lat: PicardLattice, root: LatticeClass) -> Isometry:
     """Reflection v -> v + (v.s) s in a root s (s^2 = -2, s.K = 0)."""
     if lat.selfint(root) != -2 or lat.k_degree(root) != 0:
         raise NotARoot(f"{root} is not a root on degree {lat.degree}")
-    s = np.array(root.coords, dtype=np.int64)
-    mat = np.eye(lat.rank, dtype=np.int64) + np.outer(s, lat.gram @ s)
+    s = root.coords
+    gs = _apply(lat.gram, s)
+    mat = [[(i == j) + x * y for j, y in enumerate(gs)] for i, x in enumerate(s)]
     return Isometry(lat, mat, _validate=False)
 
 
 class IsometryGroup:
-    """Finite group of isometries with cached closure, deterministic order."""
+    """A finite group of isometries, held as a base and strong generating set
+    of its permutation of the lines (Sims 1970).
 
-    def __init__(self, lattice: PicardLattice, generators, matrices: np.ndarray):
+    The lines span the lattice over Q on degrees <= 7, so an isometry is
+    known by how it permutes them.  `transversals[i]` maps each point of the
+    orbit of `base[i]` under the stabilizer of `base[:i]` to an element
+    taking `base[i]` there; the order is the product of these orbit lengths.
+    """
+
+    def __init__(self, lattice: PicardLattice, generators, base, transversals):
         self.lattice = lattice
         self.generators = tuple(generators)
-        self._raw = matrices  # (order, rank, rank) integers, canonically sorted
-        self.order = matrices.shape[0]
-
-    @cached_property
-    def matrices(self) -> np.ndarray:
-        """The elements as an (order, rank, rank) int64 array, built on first use."""
-        return np.asarray(self._raw, dtype=np.int64)
-
-    def elements(self):
-        for i in range(self.order):
-            yield Isometry(self.lattice, self.matrices[i], _validate=False)
+        self.base = tuple(base)
+        self.transversals = tuple(transversals)
+        self.order = prod(len(t) for t in self.transversals)
 
     def __contains__(self, iso: Isometry) -> bool:
-        return iso.lattice == self.lattice and bool((self.matrices == iso.np).all(axis=(1, 2)).any())
-
-    def trace_sum(self) -> int:
-        """The sum of the traces of all elements."""
-        return int(np.einsum("nii->", self.matrices))
-
-    def __len__(self):
-        return self.order
+        if iso.lattice != self.lattice:
+            return False
+        try:
+            perm = iso.permutation(_exceptional_cached(self.lattice.degree))
+        except ValueError:  # some image is not a line
+            return False
+        return _sift(perm, self.base, self.transversals, 0) == (tuple(range(len(perm))), len(self.base))
 
     def __repr__(self):
         return f"IsometryGroup(degree={self.lattice.degree}, order={self.order})"
 
 
-def _check_int8(arr: np.ndarray) -> None:
-    if arr.size and (arr.min() < -128 or arr.max() > 127):
-        raise ArithmeticError("group closure: a matrix entry does not fit int8")
+def _sift(perm, base, transversals, start):
+    """Strip perm by the transversals of levels start, start+1, ...: the
+    residue and the level whose orbit missed it (len(base) if none did)."""
+    for i in range(start, len(base)):
+        u = transversals[i].get(perm[base[i]])
+        if u is None:
+            return perm, i
+        inv = _perm_inverse(u)
+        perm = tuple(inv[x] for x in perm)
+    return perm, len(base)
+
+
+def _schreier_sims(gens, n):
+    """Base and transversals of the group the permutations gens generate.
+
+    Deterministic Schreier-Sims (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, 4.4.2), with the generators as the
+    Schreier generators of a level -1.  Going down from the last level,
+    every Schreier generator of a level must sift to the identity through
+    the levels below it; one that does not becomes a strong generator of
+    the levels down to where its sift stopped (a new base point if it
+    fixes the whole base), and the check resumes at that level.
+    """
+    ident = tuple(range(n))
+    base, level_gens, transversals = [], [], []
+
+    def schreier_generators(i):
+        reps = transversals[i]
+        for u in reps.values():
+            for s in level_gens[i]:
+                su = tuple(s[x] for x in u)
+                v = reps[su[base[i]]]
+                if su != v:
+                    inv = _perm_inverse(v)
+                    yield tuple(inv[x] for x in su)
+
+    i = -1
+    while True:
+        for h in gens if i < 0 else schreier_generators(i):
+            h, j = _sift(h, base, transversals, i + 1)
+            if j < len(base) or h != ident:
+                break
+        else:
+            if i < 0:
+                return base, transversals
+            i -= 1
+            continue
+        if j == len(base):
+            base.append(next(x for x in range(n) if h[x] != x))
+            level_gens.append([])
+            transversals.append(None)
+        for lvl in range(i + 1, j + 1):
+            level_gens[lvl].append(h)
+            transversals[lvl] = _transversal(base[lvl], level_gens[lvl], n)
+        i = j
 
 
 def close_group(lat: PicardLattice, gens, cap: int = 100000) -> IsometryGroup:
-    """Closure of the generated group, or CapExceeded carrying the partial size.
-
-    Each element is held only as its int8 byte key.  An isometry fixing K
-    has entries of absolute value at most 17 (reached on degree 1, where
-    17 e_0 - 6(e_1 + ... + e_8) is an image of e_0), so an entry outside
-    int8 raises ArithmeticError.  On entries in [-128, 127] the int8 byte
-    order of two matrices equals the byte order of their little-endian int64
-    `tobytes()`, so `matrices` is sorted exactly as by the int64 keys.
-    """
+    """The generated group, built by Schreier-Sims on the generators'
+    permutations of the lines without listing an element; CapExceeded
+    carries its order when that exceeds cap."""
     if cap < 1:
         raise ValueError("cap must be positive")
     gens = tuple(gens)
     for g in gens:
         if g.lattice != lat:
             raise NotAnIsometry("generator lives on a different lattice")
-    d = lat.rank
-    step = d * d
-    gen_arr = np.stack([g.np for g in gens]) if gens else np.zeros((0, d, d), dtype=np.int64)
-    _check_int8(gen_arr)
-    gen_arr = gen_arr.astype(np.int32)  # int8-range factors: |product entry| <= 9 * 128^2
-    frontier = np.eye(d, dtype=np.int32)[None]
-    seen = {frontier.astype(np.int8).tobytes()}
-    while gens:
-        prods = np.matmul(gen_arr[:, None], frontier[None]).reshape(-1, d, d)
-        _check_int8(prods)
-        buf = prods.astype(np.int8).tobytes()
-        fresh = []
-        for i in range(prods.shape[0]):
-            key = buf[i * step : (i + 1) * step]
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-                if len(seen) > cap:
-                    raise CapExceeded(len(seen), cap)
-        if not fresh:
-            break
-        frontier = prods[fresh]
-    keys = b"".join(sorted(seen))
-    seen.clear()  # free the keys; `matrices` builds the int64 copy only when read
-    return IsometryGroup(lat, gens, np.frombuffer(keys, dtype=np.int8).reshape(-1, d, d))
+    if lat.degree > 7:
+        raise UnsupportedDegree("group closure acts on the lines and needs degree <= 7")
+    lines = _exceptional_cached(lat.degree)
+    group = IsometryGroup(lat, gens, *_schreier_sims([g.permutation(lines) for g in gens], len(lines)))
+    if group.order > cap:
+        raise CapExceeded(group.order, cap)
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +294,20 @@ class ElementFingerprint:
         return s[1:] if s.startswith("+") else s
 
 
-def _charpoly_int(mat: np.ndarray) -> tuple[int, ...]:
-    """det(xI - M) by Faddeev-LeVerrier over Python ints, ascending coeffs.
+def _charpoly_int(m) -> tuple[int, ...]:
+    """det(xI - M) of int rows by Faddeev-LeVerrier, ascending coeffs.
 
     For an integer matrix the k-th trace is divisible by k, so every
     division is exact.
     """
-    n = mat.shape[0]
-    m = [[int(x) for x in row] for row in mat]
+    n = len(m)
     desc = [1]  # coefficients of x^n, x^(n-1), ...
-    prod = m
+    acc = m
     for k in range(1, n + 1):
         if k > 1:
-            shifted = [
-                [x + desc[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(prod)
-            ]
-            cols = list(zip(*shifted))
-            prod = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in m]
-        coeff, rem = divmod(-sum(prod[i][i] for i in range(n)), k)
+            shifted = [[x + desc[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(acc)]
+            acc = _matmul(m, shifted)
+        coeff, rem = divmod(-sum(acc[i][i] for i in range(n)), k)
         if rem:
             raise ArithmeticError("integer matrix has non-integer charpoly")
         desc.append(coeff)
@@ -269,19 +315,19 @@ def _charpoly_int(mat: np.ndarray) -> tuple[int, ...]:
 
 
 def element_order(g: Isometry, cap: int = 1000) -> int:
-    eye = np.eye(g.lattice.rank, dtype=np.int64)
-    power = g.np.copy()
+    eye = _eye(g.lattice.rank)
+    power = g.matrix
     for k in range(1, cap + 1):
-        if np.array_equal(power, eye):
+        if power == eye:
             return k
-        power = power @ g.np
+        power = _matmul(power, g.matrix)
     raise ArithmeticError(f"element order exceeds {cap}")
 
 
 def fingerprint(lat: PicardLattice, g: Isometry) -> ElementFingerprint:
     """Trace/charpoly on the orthogonal complement of K, order, fixed lines
     and (degree 3) fixed tritangent trios, read off the line permutation."""
-    full = _charpoly_int(g.np)
+    full = _charpoly_int(g.matrix)
     kperp, r, _ = _pdivmod(full, (-1, 1))  # K contributes the eigenvalue-1 factor
     if r:
         raise ArithmeticError("non-exact polynomial division")
@@ -308,10 +354,9 @@ def minus_on_kperp(lat: PicardLattice) -> Isometry:
     if lat.degree not in (1, 2):
         raise UnsupportedDegree("minus_on_kperp is integral only on degrees 1 and 2")
     scale = 2 // lat.degree
-    k = np.array(lat.canonical.coords, dtype=np.int64)
-    gk = lat.gram @ k
-    mat = scale * np.outer(k, gk) - np.eye(lat.rank, dtype=np.int64)
-    return Isometry(lat, mat)
+    k = lat.canonical.coords
+    gk = _apply(lat.gram, k)
+    return Isometry(lat, [[scale * x * y - (i == j) for j, y in enumerate(gk)] for i, x in enumerate(k)])
 
 
 def simple_roots(lat: PicardLattice) -> list[LatticeClass]:
@@ -329,7 +374,8 @@ def simple_roots(lat: PicardLattice) -> list[LatticeClass]:
 
 @lru_cache(maxsize=None)
 def full_weyl_group(degree: int, cap: int = 60000) -> IsometryGroup:
-    """Closure of the simple reflections (desk scale for degrees >= 3)."""
+    """The group the simple reflections generate (over the default cap on
+    degrees 1 and 2)."""
     lat = PicardLattice(degree)
     gens = [reflection(lat, s) for s in simple_roots(lat)]
     return close_group(lat, gens, cap=cap)
@@ -346,26 +392,23 @@ class FrameScan:
     exhausted: bool
 
 
-def _positive_roots(lat: PicardLattice) -> np.ndarray:
-    roots = np.array([s.coords for s in enumerate_roots(lat)], dtype=np.int64)
-    keep = []
-    for row in roots:
-        for x in row:
-            if x > 0:
-                keep.append(row)
-                break
-            if x < 0:
-                break
-    return np.stack(keep)
+def _positive_roots(lat: PicardLattice) -> list[tuple[int, ...]]:
+    """The roots whose first nonzero coordinate is positive, as int rows."""
+    return [s.coords for s in enumerate_roots(lat) if next(x for x in s.coords if x) > 0]
 
 
-def frame_matrix(lat: PicardLattice, roots: np.ndarray) -> np.ndarray:
-    """Product of the commuting reflections in the given orthogonal roots:
-    I + sum_i s_i (G s_i)^T."""
-    mat = np.eye(lat.rank, dtype=np.int64)
+def frame_matrix(lat: PicardLattice, roots) -> tuple[tuple[int, ...], ...]:
+    """Product of the commuting reflections in the given orthogonal roots,
+    I + sum_i s_i (G s_i)^T, as int rows.  The roots may be any rows of
+    integers, array rows included."""
+    mat = [list(row) for row in _eye(lat.rank)]
     for s in roots:
-        mat += np.outer(s, lat.gram @ s)
-    return mat
+        s = list(map(int, s))
+        gs = _apply(lat.gram, s)
+        for i, x in enumerate(s):
+            if x:
+                mat[i] = [a + x * y for a, y in zip(mat[i], gs)]
+    return tuple(map(tuple, mat))
 
 
 def involution_frames(lat: PicardLattice, k: int, budget: int = 200000) -> FrameScan:
@@ -381,26 +424,23 @@ def involution_frames(lat: PicardLattice, k: int, budget: int = 200000) -> Frame
         raise ValueError(f"budget must be positive, got {budget}")
     if k == 0:
         return FrameScan((fingerprint(lat, identity(lat)),), 1, True)
+    from . import _kernels
+
     pos = _positive_roots(lat)
-    adj = (pos @ lat.gram @ pos.T) == 0
-    frames, truncated = _kernels.enumerate_cliques(adj, k, budget)
+    frames, truncated = _kernels.enumerate_cliques(_kernels._orthogonal(pos, lat.gram, pos), k, budget)
     # lines orthogonal to a root are exactly the lines fixed by its reflection
-    lines = np.array([e.coords for e in enumerate_exceptional(lat)], dtype=np.int64)
-    zero_masks = (pos @ lat.gram @ lines.T) == 0
-    counts = _kernels.fixed_counts(zero_masks, frames)
-    # return_index gives each count's first frame, in increasing count order
-    values, first = np.unique(counts, return_index=True)
+    lines = [e.coords for e in enumerate_exceptional(lat)]
+    counts = _kernels.fixed_counts(_kernels._orthogonal(pos, lat.gram, lines), frames)
     fps = []
-    for c, idx in zip(values[::-1].tolist(), first[::-1].tolist()):
-        mat = frame_matrix(lat, pos[frames[idx]])
-        iso = Isometry(lat, mat, _validate=False)
+    for c, frame in _kernels._first_frames(counts, frames):
+        iso = Isometry(lat, frame_matrix(lat, [pos[i] for i in frame]), _validate=False)
         fp = fingerprint(lat, iso)
         if fp.fixed_line_count != c:
             raise ArithmeticError(
                 f"frame kernel counted {c} fixed lines, the fingerprint {fp.fixed_line_count}"
             )
         fps.append(fp)
-    return FrameScan(tuple(fps), frames.shape[0], not truncated)
+    return FrameScan(tuple(fps), len(frames), not truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from delpezzo.explicitlines import (
 from delpezzo.invforms import BinaryForm, group_from_label, in_span, invariant_subspace, realpart_power
 from delpezzo.minimality import (
     ActionContext,
-    fixed_sublattice_rank,
     invariant_rank,
     lefschetz_euler,
 )
@@ -57,6 +56,7 @@ from delpezzo.weyl import (
     minus_on_kperp,
     reflection,
 )
+from test_weyl import _reference_close_group, trace_average_rank
 
 
 def _timed(name, budget_s, fn):
@@ -103,7 +103,7 @@ def test_criterion_03_rank_oracle_equivalence():
                 gens = [reflection(lat, rng.choice(roots)) for _ in range(n_gens)]
                 group = close_group(lat, gens, cap=10000)
                 ctx = ActionContext(lat, group)
-                assert invariant_rank(ctx) == fixed_sublattice_rank(ctx)
+                assert invariant_rank(ctx) == trace_average_rank(_reference_close_group(lat, gens, 10000))
                 count += 1
         assert count == 200
 

@@ -286,9 +286,10 @@ def _child(body: str) -> str:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
 def test_table_1_peak_rss():
-    """Table 1 closes W(E6) (51840 elements) only for its order; a fresh
-    process doing so peaks below 100 MB, and less than 25 MB above a
-    process that only imports the modules table 1 loads."""
+    """Table 1 needs only the orders of four Weyl groups, up to W(E6) with
+    51840 elements; a fresh process computing them peaks below 25 MB, and
+    less than 25 MB above a process that only imports the modules table 1
+    loads."""
     table = _peak_mb(
         "import contextlib, io\n"
         "from delpezzo import cli\n"
@@ -296,7 +297,7 @@ def test_table_1_peak_rss():
         "    assert cli.main(['table', '--id', '1']) == 0\n"
     )
     bare = _peak_mb("import delpezzo.cli, delpezzo.weyl\n")
-    assert table < 100
+    assert table < 25
     assert table - bare < 25, (table, bare)
 
 
@@ -387,10 +388,23 @@ def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
 
 
 def test_subcommands_import_only_what_they_use():
-    """The CLI starts without numpy, `lattice`, table 5, the dp4 requests and
-    `dp1 rationality` run without it, and a dp4 rank never loads the
+    """The CLI starts without numpy; `lattice`, tables 1, 2 and 5, the dp4
+    requests, `dp1 rationality`, `minimal`, `dp1 star`, `graph` and
+    `classify-involution` run without it; and a dp4 rank never loads the
     Weyl-group layer."""
+    from delpezzo.picard import PicardLattice
+    from delpezzo.weyl import minus_on_kperp
+
     rank = json.dumps([{"sign": [0, 0, 0, 0, 0], "perm": [1, 2, 3, 4, 5]}])
+    geiser = json.dumps([[list(row) for row in minus_on_kperp(PicardLattice(2)).matrix]])
+    weyl_requests = [
+        ["table", "--id", "1"],
+        ["table", "--id", "2"],
+        ["minimal", "--degree", "2", "--generators", geiser, "--sigma", "0"],
+        ["dp1", "star", "--reference"],
+        ["graph", "--degree", "6", "--sigma", "fig_a"],
+        ["classify-involution", "--degree", "3", "--roots", "[[0,1,-1,0,0,0,0]]"],
+    ]
     out = _child(
         "import contextlib, io, json, sys\n"
         "def loaded():\n"
@@ -408,13 +422,20 @@ def test_subcommands_import_only_what_they_use():
         "    seen.append(loaded())\n"
         "    codes.append(cli.main(['dp1', 'rationality', '--f4=-2,0,-2,0,-2', '--f6=-1,0,-2,0,-2,0,2']))\n"
         "    seen.append(loaded())\n"
+        f"    for argv in {weyl_requests!r}:\n"
+        "        codes.append(cli.main(argv))\n"
         "print(json.dumps([codes, seen]))\n"
+        "print(json.dumps(loaded()))\n"
     )
-    codes, (at_import, after_lattice, after_table, after_dp4, after_minimal, after_dp1) = json.loads(out)
-    assert codes == [0, 0, 0, 0, 0]
+    first, last = out.splitlines()
+    codes, (at_import, after_lattice, after_table, after_dp4, after_minimal, after_dp1) = json.loads(first)
+    assert codes == [0] * (5 + len(weyl_requests))
     assert at_import == ["delpezzo", "delpezzo.cli", "delpezzo.tables"]
     assert "numpy" not in after_lattice and "delpezzo.picard" in after_lattice
     assert "numpy" not in after_table and "delpezzo.explicitlines" in after_table
     assert "delpezzo.weyl" not in after_dp4 and "delpezzo.dp4" in after_dp4
     assert "numpy" not in after_minimal
     assert "numpy" not in after_dp1 and "delpezzo.dp1" in after_dp1
+    after_weyl = json.loads(last)
+    assert "numpy" not in after_weyl and "delpezzo._kernels" not in after_weyl
+    assert {"delpezzo.weyl", "delpezzo.minimality", "delpezzo.confgraphs"} <= set(after_weyl)

@@ -106,7 +106,7 @@ def test_vertex_permutations_extend_to_every_vertex():
     symmetries = {tuple((a + s * i) % 6 for i in range(6)) for a in range(6) for s in (1, -1)}
     assert len(symmetries) == 12
     for perm in sorted(symmetries):
-        m = vertex_permutation_isometry(lat, perm).np
+        m = np.array(vertex_permutation_isometry(lat, perm).matrix)
         for i in range(6):
             assert np.array_equal(m @ verts[i], verts[perm[i]])
 

@@ -12,7 +12,7 @@ from delpezzo.weyl import _positive_roots, frame_matrix
 
 def _data(degree):
     lat = PicardLattice(degree)
-    pos = _positive_roots(lat)
+    pos = np.array(_positive_roots(lat), dtype=np.int64)
     adj = (pos @ lat.gram @ pos.T) == 0
     lines = np.array([e.coords for e in enumerate_exceptional(lat)], dtype=np.int64)
     masks = (pos @ lat.gram @ lines.T) == 0
@@ -168,7 +168,7 @@ def test_fixed_count_paths_agree():
     lat, pos, adj, masks = _data(2)
     frames, _ = enumerate_cliques(adj, 3, 10**6)
     counts = fixed_counts(masks, frames)
-    expected = [_count_fixed_lines(lat, frame_matrix(lat, pos[f])) for f in frames]
+    expected = [_count_fixed_lines(lat, np.array(frame_matrix(lat, pos[f]))) for f in frames]
     assert counts.dtype == np.int64
     assert counts.tolist() == expected
 

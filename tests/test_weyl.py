@@ -19,7 +19,6 @@ from delpezzo.picard import (
 from delpezzo.weyl import (
     CapExceeded,
     Isometry,
-    IsometryGroup,
     NotAnIsometry,
     NotARoot,
     _charpoly_int,
@@ -63,8 +62,8 @@ def test_reflection_fixes_canonical_and_form():
     for root in enumerate_roots(lat)[:10]:
         r = reflection(lat, root)
         assert r.apply(lat.canonical) == lat.canonical
-        g = lat.gram
-        assert np.array_equal(r.np.T @ g @ r.np, g)
+        g, m = np.array(lat.gram), np.array(r.matrix)
+        assert np.array_equal(m.T @ g @ m, g)
 
 
 def test_close_group_orders():
@@ -72,10 +71,14 @@ def test_close_group_orders():
     assert full_weyl_group(5).order == 120
     assert full_weyl_group(4).order == 1920
     assert full_weyl_group(3).order == 51840
-    # W(D5) and W(E6): distinct matrices in ascending byte order
-    for degree in (4, 3):
-        keys = [m.tobytes() for m in full_weyl_group(degree).matrices]
-        assert all(a < b for a, b in zip(keys, keys[1:]))
+    # W(E7) and W(E8), out of reach of a closure that lists the elements
+    lat2, lat1 = PicardLattice(2), PicardLattice(1)
+    e7 = [reflection(lat2, s) for s in simple_roots(lat2)]
+    assert close_group(lat2, e7, cap=2903040).order == 2903040
+    with pytest.raises(CapExceeded):
+        close_group(lat2, e7, cap=2903039)
+    e8 = [reflection(lat1, s) for s in simple_roots(lat1)]
+    assert close_group(lat1, e8, cap=10**9).order == 696729600
 
 
 def test_cap_exceeded():
@@ -83,14 +86,22 @@ def test_cap_exceeded():
     gens = [reflection(lat, s) for s in simple_roots(lat)]
     with pytest.raises(CapExceeded) as err:
         close_group(lat, gens, cap=100)
-    assert err.value.partial_size > 100
+    assert (err.value.partial_size, err.value.cap) == (1920, 100)
+
+
+def test_close_group_needs_the_lines():
+    for degree in (8, 9):
+        lat = PicardLattice(degree)
+        with pytest.raises(UnsupportedDegree):
+            close_group(lat, [identity(lat)], cap=10)
 
 
 def _reference_close_group(lat, gens, cap):
-    """The int64 einsum closure, kept as the oracle for `close_group`."""
+    """The elements of the generated group as an (order, rank, rank) int64
+    array: the einsum closure, kept as the oracle for `close_group`."""
     gens = tuple(gens)
     d = lat.rank
-    gen_arr = np.stack([g.np for g in gens]) if gens else np.zeros((0, d, d), dtype=np.int64)
+    gen_arr = np.array([g.matrix for g in gens], dtype=np.int64).reshape(-1, d, d)
     frontier = np.eye(d, dtype=np.int64)[None]
     seen = {frontier[0].tobytes(): None}
     blocks = [frontier]
@@ -108,86 +119,93 @@ def _reference_close_group(lat, gens, cap):
             break
         frontier = prods[fresh]
         blocks.append(frontier)
-    keys = list(seen)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return IsometryGroup(lat, gens, np.concatenate(blocks)[order])
+    return np.concatenate(blocks)
 
 
-def _closure_cases():
-    """(lattice, generators, cap): Weyl groups, seeded subgroups of W(E7) and
-    W(E8), the trivial group, table 2's sigma groups and capped closures."""
-    cases = []
-    for degree in (6, 5, 4, 3):
-        lat = PicardLattice(degree)
-        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)], 60000))
+def trace_average_rank(mats) -> int:
+    """The character formula: the rank of the fixed space of a finite group
+    is the average trace of its elements, here of a reference closure."""
+    total = int(np.einsum("nii->", mats))
+    if total % len(mats):
+        raise ArithmeticError(f"trace sum {total} is not divisible by the order {len(mats)}")
+    return total // len(mats)
+
+
+def _word(lat, roots, rng, length):
+    """A product of length random root reflections."""
+    g = identity(lat)
+    for _ in range(length):
+        g = g * reflection(lat, rng.choice(roots))
+    return g
+
+
+def _subgroup_cases():
+    """(lattice, generators): 200 seeded random subgroups of W(D5) and W(E6),
+    the Weyl groups of degrees 7 to 4, the trivial group and table 2's
+    sigma groups."""
     rng = random.Random(41)
-    for degree in (2, 1):
+    cases = []
+    for degree in (4, 3):
         lat = PicardLattice(degree)
         roots = enumerate_roots(lat)
-        for _ in range(12):
-            gens = []
-            for _ in range(rng.randint(2, 3)):
-                g = identity(lat)
-                for _ in range(rng.randint(1, 2)):
-                    g = g * reflection(lat, rng.choice(roots))
-                gens.append(g)
-            cases.append((lat, gens, 3000))
-    cases.append((PicardLattice(3), [], 10))
+        for _ in range(100):
+            gens = [_word(lat, roots, rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            cases.append((lat, gens))
+    for degree in (7, 6, 5, 4):
+        lat = PicardLattice(degree)
+        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)]))
+    cases.append((PicardLattice(3), []))
     lat6 = PicardLattice(6)
     for pattern in tables.HEXAGON_FORMS:
-        cases.append((lat6, [hexagon_sigma_isometry(lat6, pattern)], 10))
-    for degree, cap in ((4, 100), (3, 1000), (2, 1)):
-        lat = PicardLattice(degree)
-        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)], cap))
+        cases.append((lat6, [hexagon_sigma_isometry(lat6, pattern)]))
     return cases
 
 
 def test_close_group_matches_reference_closure():
-    capped = closed = 0
-    for lat, gens, cap in _closure_cases():
+    """Order, membership of members and non-members, and the invariant rank,
+    against the int64 closure and the character formula."""
+    from delpezzo.minimality import ActionContext, invariant_rank
+
+    cap = 2000
+    rng = random.Random(43)
+    capped = closed = outside = 0
+    for lat, gens in _subgroup_cases():
         try:
             want = _reference_close_group(lat, gens, cap)
-        except CapExceeded as err:
+        except CapExceeded:
             capped += 1
-            assert err.partial_size == cap + 1
             with pytest.raises(CapExceeded) as got:
                 close_group(lat, gens, cap=cap)
-            assert (got.value.partial_size, got.value.cap) == (cap + 1, cap)
+            assert got.value.partial_size > cap and got.value.cap == cap
             continue
         closed += 1
-        got = close_group(lat, gens, cap=cap)
-        assert got.matrices.dtype == want.matrices.dtype == np.int64
-        assert got.matrices.shape == want.matrices.shape
-        assert got.matrices.tobytes() == want.matrices.tobytes()
-        assert got.order == want.order and got.generators == want.generators
-    assert capped >= 3 and closed >= 25
-
-
-def test_close_group_rejects_entries_outside_int8():
-    lat = PicardLattice(3)
-    big = Isometry(lat, 200 * np.eye(lat.rank, dtype=np.int64), _validate=False)
-    with pytest.raises(ArithmeticError):
-        close_group(lat, [big], cap=10)
-    # in range itself, but its square is not
-    g = Isometry(lat, 12 * np.eye(lat.rank, dtype=np.int64), _validate=False)
-    with pytest.raises(ArithmeticError):
-        close_group(lat, [g], cap=10)
+        group = close_group(lat, gens, cap=cap)
+        assert group.order == len(want) and group.generators == tuple(gens)
+        assert invariant_rank(ActionContext(lat, group)) == trace_average_rank(want)
+        keys = {m.tobytes() for m in want}
+        members = [Isometry(lat, want[i], _validate=False) for i in rng.sample(range(len(want)), min(8, len(want)))]
+        roots = enumerate_roots(lat) if lat.degree <= 6 else []
+        others = [_word(lat, roots, rng, rng.randint(1, 6)) for _ in range(8 if roots else 0)]
+        for g in members + others:
+            inside = np.array(g.matrix, dtype=np.int64).tobytes() in keys
+            outside += not inside
+            assert (g in group) == inside
+    assert capped >= 2 and closed >= 200 and outside >= 500
 
 
 def test_membership_of_alternating_groups():
     from delpezzo.minimality import ActionContext
 
     lat = PicardLattice(6)
-    weyl = full_weyl_group(6)
+    weyl = _reference_close_group(lat, [reflection(lat, s) for s in simple_roots(lat)], 12)
     sigmas = [hexagon_sigma_isometry(lat, p) for p in ("fig_a", "fig_b", "fig_c")]
     ctxs = [ActionContext(lat, close_group(lat, [s], cap=10), sigma=s) for s in sigmas]
-    members = [{m.tobytes() for m in ctx.group.matrices} for ctx in ctxs]
+    members = [{m.tobytes() for m in _reference_close_group(lat, [s], 10)} for s in sigmas]
     assert len({frozenset(m) for m in members}) == 3
-    for _ in range(3):
-        for ctx, mine in zip(ctxs, members):
-            for m in weyl.matrices:
-                assert (Isometry(lat, m, _validate=False) in ctx.group) == (m.tobytes() in mine)
-            assert ctx.sigma in ctx.group
+    for ctx, mine in zip(ctxs, members):
+        for m in weyl:
+            assert (Isometry(lat, m, _validate=False) in ctx.group) == (m.tobytes() in mine)
+        assert ctx.sigma in ctx.group
     with pytest.raises(ValueError):
         ActionContext(lat, ctxs[0].group, sigma=sigmas[1])
     # a group no longer referenced is freed
@@ -222,7 +240,7 @@ def test_trace_kperp_is_full_trace_minus_one():
     for _ in range(10):
         g = reflection(lat, rng.choice(roots)) * reflection(lat, rng.choice(roots))
         fp = fingerprint(lat, g)
-        assert fp.trace_kperp == int(np.trace(g.np)) - 1
+        assert fp.trace_kperp == int(np.trace(np.array(g.matrix))) - 1
 
 
 def test_fingerprint_is_conjugation_invariant():
@@ -268,12 +286,12 @@ def test_charpoly_int_cayley_hamilton():
         lat = PicardLattice(degree)
         roots = enumerate_roots(lat)
         refl = reflection(lat, roots[5])
-        poly = _charpoly_int(refl.np)
+        poly = _charpoly_int(refl.matrix)
         assert poly == _poly_from_factors(*[x_minus_1] * (lat.rank - 1), x_plus_1)
-        mats = [refl.np, (refl * reflection(lat, roots[7]) * reflection(lat, roots[30])).np]
+        mats = [refl.matrix, (refl * reflection(lat, roots[7]) * reflection(lat, roots[30])).matrix]
         if degree in (2, 1):
-            mats.append(minus_on_kperp(lat).np)
-            pos = _positive_roots(lat)
+            mats.append(minus_on_kperp(lat).matrix)
+            pos = np.array(_positive_roots(lat))
             for k in range(2, lat.r + 1):
                 frames, _ = enumerate_cliques((pos @ lat.gram @ pos.T) == 0, k, 1)
                 mats.append(frame_matrix(lat, pos[frames[0]]))
@@ -282,7 +300,7 @@ def test_charpoly_int_cayley_hamilton():
             assert len(poly) == lat.rank + 1 and poly[-1] == 1
             assert not any(any(row) for row in _poly_at_matrix(poly, mat))
     lat1 = PicardLattice(1)
-    assert _charpoly_int(minus_on_kperp(lat1).np) == _poly_from_factors(*[x_plus_1] * 8, x_minus_1)
+    assert _charpoly_int(minus_on_kperp(lat1).matrix) == _poly_from_factors(*[x_plus_1] * 8, x_minus_1)
 
 
 def test_minus_on_kperp():
@@ -410,14 +428,15 @@ def test_frame_matrix_is_commuting_product():
             break
     i, j = found
     prod = reflection(lat, roots[i]) * reflection(lat, roots[j])
-    assert np.array_equal(frame_matrix(lat, arr[[i, j]]), prod.np)
+    assert frame_matrix(lat, arr[[i, j]]) == prod.matrix  # array rows in, int rows out
+    assert frame_matrix(lat, [roots[i].coords, roots[j].coords]) == prod.matrix
 
 
 def _permutation_by_lookup(g, lines):
     """The line permutation as callers computed it before `Isometry.permutation`."""
     arr = np.array([e.coords for e in lines], dtype=np.int64)
     index = {e.coords: i for i, e in enumerate(lines)}
-    return [index[tuple(int(x) for x in row)] for row in arr @ g.np.T]
+    return [index[tuple(int(x) for x in row)] for row in arr @ np.array(g.matrix).T]
 
 
 def test_permutation_matches_the_coordinate_lookup():
@@ -441,12 +460,12 @@ def test_permutation_rejects_classes_the_isometry_does_not_preserve():
         swap.permutation([_cls(0, 1, 0, 0, 0, 0, 0)])
 
 
-def test_trace_and_trace_sum_equal_the_einsum_traces():
+def test_trace_equals_the_einsum_trace():
     for degree in (4, 5, 6):
-        group = full_weyl_group(degree)
-        traces = np.einsum("nii->n", group.matrices)
-        assert group.trace_sum() == int(traces.sum())
-        assert [g.trace() for g in group.elements()] == traces.tolist()
+        lat = PicardLattice(degree)
+        mats = _reference_close_group(lat, [reflection(lat, s) for s in simple_roots(lat)], 2000)
+        traces = np.einsum("nii->n", mats)
+        assert [Isometry(lat, m, _validate=False).trace() for m in mats] == traces.tolist()
 
 
 def test_group_membership_operator():
@@ -462,32 +481,36 @@ def test_isometry_rejects_non_integer_entries():
     lat = PicardLattice(6)
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
     assert Isometry(lat, eye).is_identity()
-    for bad in (1.9, 1.0, "1"):
+    assert Isometry(lat, np.eye(4, dtype=np.int64)).matrix == identity(lat).matrix
+    for bad in (1.9, 1.0, "1", True, [1]):
         mat = [row[:] for row in eye]
         mat[0][0] = bad
-        with pytest.raises(NotAnIsometry):
+        with pytest.raises(NotAnIsometry, match="integers"):
             Isometry(lat, mat)
+    for bad in (5, [5], eye[:3], [row[:3] for row in eye], [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]):
+        with pytest.raises(NotAnIsometry, match="4x4"):
+            Isometry(lat, bad)
 
 
 def _fixed_lines_and_trios_by_images(lat, g):
     """Fixed lines and (degree 3) fixed trios by comparing coordinate images."""
     lines = np.array([e.coords for e in enumerate_exceptional(lat)], dtype=np.int64)
-    fixed_lines = int((lines @ g.np.T == lines).all(axis=1).sum())
+    m = np.array(g.matrix, dtype=np.int64)
+    fixed_lines = int((lines @ m.T == lines).all(axis=1).sum())
     if lat.degree != 3:
         return fixed_lines, None
     fixed_trios = 0
     for trio in tritangent_trios(lat):
-        imgs = {tuple(int(x) for x in g.np @ np.array(t.coords)) for t in trio}
+        imgs = {tuple(int(x) for x in m @ np.array(t.coords)) for t in trio}
         if imgs == {t.coords for t in trio}:
             fixed_trios += 1
     return fixed_lines, fixed_trios
 
 
 def test_fingerprint_counts_match_the_coordinate_images():
-    group = full_weyl_group(3)
-    lat = group.lattice
-    picks = random.Random(20).sample(range(group.order), 200)
-    isos = [Isometry(lat, group.matrices[i], _validate=False) for i in picks]
+    lat = PicardLattice(3)
+    rng = random.Random(20)
+    isos = [_word(lat, enumerate_roots(lat), rng, rng.randint(1, 12)) for _ in range(200)]
     for degree in range(1, 7):
         lat = PicardLattice(degree)
         isos += [reflection(lat, s) for s in simple_roots(lat)]

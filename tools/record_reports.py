@@ -70,7 +70,7 @@ def _minimal_requests() -> list[tuple[str, list[str]]]:
          [0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0], [-1, -1, -1, 0, 0, 0]],
     ])
     e6 = _simple_reflections(3)
-    out = [
+    return [
         ("minimal-d7-weyl", minimal(7, _simple_reflections(7))),
         ("minimal-d7-weyl-sigma", minimal(7, _simple_reflections(7), "--sigma", "0")),
         ("minimal-d6-weyl", minimal(6, _simple_reflections(6))),
@@ -86,6 +86,8 @@ def _minimal_requests() -> list[tuple[str, list[str]]]:
         ("minimal-d3-weyl", minimal(3, e6)),
         ("minimal-d3-weyl-sigma", minimal(3, e6, "--sigma", "0")),
         ("minimal-d3-cap", minimal(3, e6, "--cap", "100")),
+        ("minimal-d2-weyl", minimal(2, _simple_reflections(2), "--cap", "3000000")),
+        ("minimal-d2-weyl-default-cap", minimal(2, _simple_reflections(2))),
         ("minimal-d2-geiser-sigma", minimal(2, _matrices([minus_on_kperp(lat2)]), "--sigma", "0")),
         ("minimal-d2-three-reflections", minimal(2, _matrices(e7_part))),
         ("minimal-d1-bertini", minimal(1, _matrices([minus_on_kperp(PicardLattice(1))]))),
@@ -97,13 +99,13 @@ def _minimal_requests() -> list[tuple[str, list[str]]]:
         ("minimal-no-such-file", minimal(3, "nosuchfile")),
         ("minimal-entry-not-a-matrix", minimal(6, "[5]")),
         ("minimal-wrong-size", minimal(6, json.dumps([_eye(3)]))),
+        ("minimal-ragged-rows", minimal(6, json.dumps([[[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]))),
         ("minimal-float-entry", minimal(6, json.dumps([_eye(4, 1.5)]))),
         ("minimal-string-entry", minimal(6, json.dumps([_eye(4, "1")]))),
         ("minimal-true-entry", minimal(6, json.dumps([_eye(4, True)]))),
         ("minimal-not-an-isometry", minimal(6, json.dumps([_eye(4, 2)]))),
         ("minimal-moves-k", minimal(6, json.dumps([[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]]))),
     ]
-    return out
 
 
 HELP = [
