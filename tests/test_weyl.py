@@ -169,6 +169,7 @@ def test_close_group_matches_reference_closure():
     cap = 2000
     rng = random.Random(43)
     capped = closed = outside = 0
+    seen = {}  # degree -> the elements of every group closed so far on it
     for lat, gens in _subgroup_cases():
         try:
             want = _reference_close_group(lat, gens, cap)
@@ -183,13 +184,15 @@ def test_close_group_matches_reference_closure():
         assert group.order == len(want) and group.generators == tuple(gens)
         assert invariant_rank(ActionContext(lat, group)) == trace_average_rank(want)
         keys = {m.tobytes() for m in want}
-        members = [Isometry(lat, want[i], _validate=False) for i in rng.sample(range(len(want)), min(8, len(want)))]
-        roots = enumerate_roots(lat) if lat.degree <= 6 else []
-        others = [_word(lat, roots, rng, rng.randint(1, 6)) for _ in range(8 if roots else 0)]
-        for g in members + others:
-            inside = np.array(g.matrix, dtype=np.int64).tobytes() in keys
+        # members, and elements of the groups closed before it on this
+        # lattice: mostly non-members
+        pool = seen.setdefault(lat.degree, [])
+        candidates = rng.sample(list(want), min(8, len(want))) + rng.sample(pool, min(8, len(pool)))
+        pool.extend(want[:50])
+        for m in candidates:
+            inside = m.tobytes() in keys
             outside += not inside
-            assert (g in group) == inside
+            assert (Isometry(lat, m, _validate=False) in group) == inside
     assert capped >= 2 and closed >= 200 and outside >= 500
 
 
