@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .colorgraph import _orbits
 from .exactnum import _echelon
-from .picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_exceptional
+from .picard import LatticeClass, PicardLattice, enumerate_exceptional
 from .weyl import Isometry, IsometryGroup
 
 
@@ -61,14 +61,11 @@ def find_contractible_set(ctx: ActionContext) -> list[LatticeClass] | None:
     Returns the smallest qualifying orbit (lexicographic tie-break),
     or None: absence certifies minimality for del Pezzo actions.
     """
-    if ctx.lattice.degree > 7:
-        raise UnsupportedDegree("contraction search needs degree <= 7")
     lat = ctx.lattice
     lines = enumerate_exceptional(lat)
-    perms = [g.permutation(lines) for g in ctx.group.generators]
     candidates = [
         orbit
-        for orbit in _orbits(perms, len(lines))
+        for orbit in _orbits(ctx.group.permutations, len(lines))
         if all(lat.intersection(lines[a], lines[b]) == 0 for a, b in combinations(orbit, 2))
     ]
     if not candidates:

@@ -161,14 +161,16 @@ class IsometryGroup:
     of its permutation of the lines (Sims 1970).
 
     The lines span the lattice over Q on degrees <= 7, so an isometry is
-    known by how it permutes them.  `transversals[i]` maps each point of the
+    known by how it permutes them.  `permutations[k]` is the permutation of
+    the lines by `generators[k]`.  `transversals[i]` maps each point of the
     orbit of `base[i]` under the stabilizer of `base[:i]` to an element
     taking `base[i]` there; the order is the product of these orbit lengths.
     """
 
-    def __init__(self, lattice: PicardLattice, generators, base, transversals):
+    def __init__(self, lattice: PicardLattice, generators, permutations, base, transversals):
         self.lattice = lattice
         self.generators = tuple(generators)
+        self.permutations = tuple(permutations)
         self.base = tuple(base)
         self.transversals = tuple(transversals)
         self.order = prod(len(t) for t in self.transversals)
@@ -256,7 +258,8 @@ def close_group(lat: PicardLattice, gens, cap: int = 100000) -> IsometryGroup:
     if lat.degree > 7:
         raise UnsupportedDegree("group closure acts on the lines and needs degree <= 7")
     lines = _exceptional_cached(lat.degree)
-    group = IsometryGroup(lat, gens, *_schreier_sims([g.permutation(lines) for g in gens], len(lines)))
+    perms = [g.permutation(lines) for g in gens]
+    group = IsometryGroup(lat, gens, perms, *_schreier_sims(perms, len(lines)))
     if group.order > cap:
         raise CapExceeded(group.order, cap)
     return group

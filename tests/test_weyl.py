@@ -140,9 +140,9 @@ def _word(lat, roots, rng, length):
 
 
 def _subgroup_cases():
-    """(lattice, generators): 200 seeded random subgroups of W(D5) and W(E6),
-    the Weyl groups of degrees 7 to 4, the trivial group and table 2's
-    sigma groups."""
+    """(lattice, generators, cap): 200 seeded random subgroups of W(D5) and
+    W(E6), 24 of W(E7) and W(E8), the Weyl groups of degrees 7 to 3, the
+    trivial group, table 2's sigma groups and capped closures."""
     rng = random.Random(41)
     cases = []
     for degree in (4, 3):
@@ -150,14 +150,24 @@ def _subgroup_cases():
         roots = enumerate_roots(lat)
         for _ in range(100):
             gens = [_word(lat, roots, rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
-            cases.append((lat, gens))
-    for degree in (7, 6, 5, 4):
+            cases.append((lat, gens, 2000))
+    rng = random.Random(41)
+    for degree in (2, 1):
         lat = PicardLattice(degree)
-        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)]))
-    cases.append((PicardLattice(3), []))
+        roots = enumerate_roots(lat)
+        for _ in range(12):
+            gens = [_word(lat, roots, rng, rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+            cases.append((lat, gens, 3000))
+    for degree in (7, 6, 5, 4, 3):
+        lat = PicardLattice(degree)
+        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)], 60000))
+    cases.append((PicardLattice(3), [], 10))
     lat6 = PicardLattice(6)
     for pattern in tables.HEXAGON_FORMS:
-        cases.append((lat6, [hexagon_sigma_isometry(lat6, pattern)]))
+        cases.append((lat6, [hexagon_sigma_isometry(lat6, pattern)], 10))
+    for degree, cap in ((4, 100), (3, 1000), (2, 1)):
+        lat = PicardLattice(degree)
+        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)], cap))
     return cases
 
 
@@ -166,18 +176,19 @@ def test_close_group_matches_reference_closure():
     against the int64 closure and the character formula."""
     from delpezzo.minimality import ActionContext, invariant_rank
 
-    cap = 2000
     rng = random.Random(43)
     capped = closed = outside = 0
     seen = {}  # degree -> the elements of every group closed so far on it
-    for lat, gens in _subgroup_cases():
+    for lat, gens, cap in _subgroup_cases():
         try:
             want = _reference_close_group(lat, gens, cap)
         except CapExceeded:
             capped += 1
             with pytest.raises(CapExceeded) as got:
                 close_group(lat, gens, cap=cap)
-            assert got.value.partial_size > cap and got.value.cap == cap
+            order = got.value.partial_size
+            assert order > cap and got.value.cap == cap
+            assert close_group(lat, gens, cap=order).order == order
             continue
         closed += 1
         group = close_group(lat, gens, cap=cap)
@@ -193,7 +204,7 @@ def test_close_group_matches_reference_closure():
             inside = m.tobytes() in keys
             outside += not inside
             assert (Isometry(lat, m, _validate=False) in group) == inside
-    assert capped >= 2 and closed >= 200 and outside >= 500
+    assert capped >= 7 and closed >= 230 and outside >= 1500
 
 
 def test_membership_of_alternating_groups():
@@ -205,10 +216,11 @@ def test_membership_of_alternating_groups():
     ctxs = [ActionContext(lat, close_group(lat, [s], cap=10), sigma=s) for s in sigmas]
     members = [{m.tobytes() for m in _reference_close_group(lat, [s], 10)} for s in sigmas]
     assert len({frozenset(m) for m in members}) == 3
-    for ctx, mine in zip(ctxs, members):
-        for m in weyl:
-            assert (Isometry(lat, m, _validate=False) in ctx.group) == (m.tobytes() in mine)
-        assert ctx.sigma in ctx.group
+    for _ in range(3):
+        for ctx, mine in zip(ctxs, members):
+            for m in weyl:
+                assert (Isometry(lat, m, _validate=False) in ctx.group) == (m.tobytes() in mine)
+            assert ctx.sigma in ctx.group
     with pytest.raises(ValueError):
         ActionContext(lat, ctxs[0].group, sigma=sigmas[1])
     # a group no longer referenced is freed
