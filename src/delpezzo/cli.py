@@ -125,7 +125,7 @@ def cmd_classify_involution(args):
     roots = _load_json_arg(args.roots)
     iso = None
     for coords in roots:
-        refl = reflection(lat, LatticeClass(tuple(coords)))
+        refl = reflection(lat, LatticeClass(coords))
         iso = refl if iso is None else iso * refl
     if iso is None:
         raise UsageError("need at least one root")
@@ -229,8 +229,7 @@ def cmd_dp4(args):
     form = get_form(args.form) if args.form else None
     if args.characteristic:
         pairs = _load_json_arg(args.characteristic)
-        spec = PencilSpec(tuple((Fraction(str(a)), Fraction(str(b))) for a, b in pairs))
-        xi = wall_characteristic(spec)
+        xi = wall_characteristic(PencilSpec(pairs))
         return _report(
             "dp4",
             {"characteristic": pairs},
@@ -247,10 +246,7 @@ def cmd_dp4(args):
                 {
                     "order": r.order,
                     "isomorphism_type": r.label,
-                    "elements": [
-                        {"sign": list(g.sign), "perm": [p + 1 for p in g.perm]}
-                        for g in r.elements
-                    ],
+                    "elements": [g.to_json() for g in r.elements],
                 }
                 for r in reports
             ],
@@ -260,7 +256,7 @@ def cmd_dp4(args):
         raw = _load_json_arg(args.rank_elements)
         if not all(isinstance(e, dict) and "sign" in e and "perm" in e for e in raw):
             raise UsageError("every --rank-elements entry needs a sign and a perm")
-        subgroup = {DP4Element(tuple(e["sign"]), tuple(p - 1 for p in e["perm"])) for e in raw}
+        subgroup = {DP4Element.from_json(e) for e in raw}
         rank = dp4_invariant_rank(subgroup, form)
         return _report(
             "dp4",
@@ -435,7 +431,7 @@ _SUBCOMMANDS = {
     "dp4": ("degree-4 real forms and pencil characteristics", [
         ("--form", {}),
         ("--enumerate-minimal", {"action": "store_true"}),
-        ("--characteristic", {"help": "JSON [[a,b],...] of rational pairs"}),
+        ("--characteristic", {"help": "JSON [[a,b],...] of integer pairs"}),
         ("--rank-elements", {"help": "JSON [{sign, perm}] subgroup"}),
     ]),
     "cubic": ("real lines/tritangents on Fermat and Clebsch cubics", [

@@ -31,6 +31,7 @@ from itertools import permutations
 
 from .colorgraph import _perm_inverse
 from .exactnum import _solve
+from .picard import _ints
 
 
 class NotAGroup(ValueError):
@@ -49,11 +50,12 @@ class DegeneratePencil(ValueError):
 # the group A rtimes S_5
 
 
-def _check_sign(bits) -> tuple[int, ...]:
-    bits = tuple(int(b) % 2 for b in bits)
-    if len(bits) != 5:
-        raise ValueError("sign vectors have five components")
-    if sum(bits) % 2 != 0:
+def _check_sign(bits, even: bool = True) -> tuple[int, ...]:
+    """Five sign bits, each the int 0 or 1, of even weight unless even is False."""
+    bits = _ints(bits, ValueError, "sign vectors have five components, each 0 or 1", 5)
+    if bits.count(0) + bits.count(1) != 5:
+        raise ValueError("sign vectors have five components, each 0 or 1")
+    if even and sum(bits) % 2 != 0:
         raise ValueError(f"sign vector {bits} has odd weight (not in A)")
     return bits
 
@@ -74,10 +76,19 @@ class DP4Element:
     perm: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        object.__setattr__(self, "sign", tuple(int(b) % 2 for b in self.sign))
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if len(self.sign) != 5 or sorted(self.perm) != [0, 1, 2, 3, 4]:
-            raise ValueError("need five sign bits and a permutation of 0..4")
+        object.__setattr__(self, "sign", _check_sign(self.sign, even=False))
+        object.__setattr__(self, "perm", _ints(self.perm, ValueError, "perm must permute the five pairs", 5))
+        if sorted(self.perm) != [0, 1, 2, 3, 4]:
+            raise ValueError("perm must permute the five pairs")
+
+    @classmethod
+    def from_json(cls, entry: dict) -> "DP4Element":
+        """The element {"sign": five bits, "perm": a permutation of 1..5}."""
+        perm = _ints(entry["perm"], ValueError, "perm must permute the five pairs", 5)
+        return cls(entry["sign"], tuple(p - 1 for p in perm))
+
+    def to_json(self) -> dict:
+        return {"sign": list(self.sign), "perm": [p + 1 for p in self.perm]}
 
     def __mul__(self, other: "DP4Element") -> "DP4Element":
         sign = tuple(
@@ -217,9 +228,7 @@ def delta_criterion(subgroup, form: DP4RealForm) -> bool:
     and 4-5 over all elements."""
     if form.label not in ("p2_31", "q22_02"):
         raise UnsupportedForm("delta criterion applies to p2_31 and q22_02")
-    vecs = [g.sign if isinstance(g, DP4Element) else _check_sign(g) for g in subgroup]
-    for v in vecs:
-        _check_sign(v)
+    vecs = [_check_sign(g.sign if isinstance(g, DP4Element) else g) for g in subgroup]
     delta0 = sum(1 for v in vecs for i in range(3) if v[i] == 0)
     delta1 = sum(1 for v in vecs for i in range(3) if v[i] == 1)
     eps0 = sum(1 for v in vecs for i in range(3, 5) if v[i] == 0)
@@ -259,19 +268,12 @@ def ambient_group(form: DP4RealForm) -> list[DP4Element]:
     """Elements that commute with the form's sigma in the group law (so their
     lattice matrices commute with sigma's), with the permutation part
     restricted to the form's published constraint."""
-    allowed_perms = {
-        "split": [tuple(p) for p in permutations(range(5))],
-        "q31_02": [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3)],
-        # S_3 on pairs {1,2,3} x S_2 on {4,5}
-        "p2_12": None,
-        "p2_31": None,
-        "q22_02": None,
-    }[form.label]
-    if allowed_perms is None:
-        allowed_perms = []
-        for p3 in permutations(range(3)):
-            for p2 in permutations((3, 4)):
-                allowed_perms.append(tuple(p3) + tuple(p2))
+    if form.label == "split":
+        allowed_perms = list(permutations(range(5)))
+    elif form.label == "q31_02":
+        allowed_perms = [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3)]
+    else:  # S_3 on pairs {1,2,3} x S_2 on {4,5}
+        allowed_perms = [p3 + p2 for p3 in permutations(range(3)) for p2 in permutations((3, 4))]
     sigma = form.sigma
     out = []
     for perm in allowed_perms:
@@ -381,24 +383,16 @@ def enumerate_strongly_minimal(form: DP4RealForm, ambient=None) -> list[MinimalS
 
 @dataclass(frozen=True)
 class PencilSpec:
-    """Diagonal part of a nonsingular real pencil: rational pairs (a_k, b_k)."""
+    """Diagonal part of a nonsingular real pencil: integer pairs (a_k, b_k),
+    each naming the direction of a pencil point (so any rational one)."""
 
-    real_eigen_pairs: tuple[tuple[Fraction, Fraction], ...]
+    real_eigen_pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple(
-            (Fraction(a), Fraction(b)) for a, b in self.real_eigen_pairs
-        )
-        if any(a == 0 and b == 0 for a, b in pairs):
+        pairs = tuple(_ints(p, ValueError, "pencil points are integer pairs", 2) for p in self.real_eigen_pairs)
+        if (0, 0) in pairs:
             raise ValueError("pencil pairs must be nonzero")
         object.__setattr__(self, "real_eigen_pairs", pairs)
-
-
-def _primitive(a: Fraction, b: Fraction) -> tuple[int, int]:
-    den = math.lcm(a.denominator, b.denominator)
-    p, q = int(a * den), int(b * den)
-    g = math.gcd(abs(p), abs(q))
-    return p // g, q // g
 
 
 def _half(v: tuple[int, int]) -> int:
@@ -434,7 +428,8 @@ def wall_characteristic(p: PencilSpec) -> tuple[int, ...]:
         raise DegeneratePencil("need at least one real eigenvalue pair")
     pts: list[tuple[tuple[int, int], int]] = []
     for a, b in pairs:
-        d = _primitive(a, b)
+        g = math.gcd(a, b)
+        d = (a // g, b // g)
         pts.append((d, 0))  # P point
         pts.append(((-d[0], -d[1]), 1))  # antipode Q
     seen = set()
@@ -457,7 +452,4 @@ def wall_characteristic(p: PencilSpec) -> tuple[int, ...]:
     p_sizes = [size for lab, size in runs if lab == 0]
     if len(p_sizes) % 2 != 1:
         raise DegeneratePencil("antipodal symmetry violated (degenerate input)")
-    rotations = [
-        tuple(p_sizes[i:] + p_sizes[:i]) for i in range(len(p_sizes))
-    ]
-    return max(rotations)
+    return max(tuple(p_sizes[i:] + p_sizes[:i]) for i in range(len(p_sizes)))

@@ -10,6 +10,7 @@ constraints, returned in a canonical sorted order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +23,20 @@ class UnsupportedDegree(ValueError):
     pass
 
 
+def _ints(values, error, message: str, n: int | None = None) -> tuple[int, ...]:
+    """values as a tuple of n ints, else error(message): the one integer rule for
+    values from outside.  Entries go through operator.index, so a float, string
+    or None is refused, never truncated, and so is a bool (JSON true is not 1)."""
+    try:
+        values = tuple(values)
+        out = tuple(map(operator.index, values))
+    except TypeError:
+        raise error(message) from None
+    if bool in map(type, values) or (n is not None and len(out) != n):
+        raise error(message)
+    return out
+
+
 @dataclass(frozen=True)
 class LatticeClass:
     """Integer divisor class in coordinates (e_0, e_1, ..., e_r)."""
@@ -29,7 +44,7 @@ class LatticeClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", _ints(self.coords, ValueError, "class coordinates must be integers"))
 
     def __add__(self, other: "LatticeClass") -> "LatticeClass":
         if len(self.coords) != len(other.coords):
@@ -150,8 +165,8 @@ def _exceptional_cached(degree: int) -> tuple[LatticeClass, ...]:
 
 def enumerate_roots(lat: PicardLattice) -> list[LatticeClass]:
     """The root system Delta_r = {s : s^2 = -2, s.K = 0}."""
-    if not 1 <= lat.degree <= 6:
-        raise UnsupportedDegree("roots are enumerated for degrees 1..6")
+    if not 1 <= lat.degree <= 7:
+        raise UnsupportedDegree("roots are enumerated for degrees 1..7")
     return list(_roots_cached(lat.degree))
 
 

@@ -10,7 +10,6 @@ stopped at its budget, and imports the modules it uses when it runs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
 
 
@@ -188,7 +187,7 @@ def _table_4(partial):
         checks.append(_check(f"k_{k}_line_counts", want, got, "table:4"))
     xi = {}
     for row in DP4_FORMS:
-        spec = PencilSpec(tuple((Fraction(a), Fraction(b)) for a, b in row["pencil"]))
+        spec = PencilSpec(row["pencil"])
         xi[row["label"]] = list(wall_characteristic(spec))
         checks.append(_check(f"xi_{row['label']}", list(row["xi"]), xi[row["label"]], row["source"]))
     return {"line_counts": counts, "characteristics": xi}, checks

@@ -25,6 +25,7 @@ from .picard import (
     PicardLattice,
     UnsupportedDegree,
     _exceptional_cached,
+    _ints,
     enumerate_exceptional,
     enumerate_roots,
     tritangent_trios,
@@ -76,12 +77,8 @@ class Isometry:
             rows = None
         if rows is None or len(rows) != n or any(len(row) != n for row in rows):
             raise NotAnIsometry(f"matrix must be {n}x{n}")
-        try:  # floats and strings are not truncated to ints
-            mat = tuple(tuple(map(operator.index, row)) for row in rows)
-        except TypeError:
-            mat = None
-        if mat is None or bool in set(map(type, chain.from_iterable(rows))):  # nor is JSON true 1
-            raise NotAnIsometry("matrix entries must be integers")
+        flat = _ints(chain.from_iterable(rows), NotAnIsometry, "matrix entries must be integers")
+        mat = tuple(flat[i : i + n] for i in range(0, n * n, n))
         if _validate:
             g = lattice.gram
             if _matmul(_matmul(tuple(zip(*mat)), g), mat) != g:
@@ -406,7 +403,7 @@ def frame_matrix(lat: PicardLattice, roots) -> tuple[tuple[int, ...], ...]:
     integers, array rows included."""
     mat = [list(row) for row in _eye(lat.rank)]
     for s in roots:
-        s = list(map(int, s))
+        s = _ints(s, ValueError, "roots must be rows of integers")
         gs = _apply(lat.gram, s)
         for i, x in enumerate(s):
             if x:

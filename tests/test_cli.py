@@ -1,7 +1,7 @@
 import argparse
-import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +11,9 @@ import pytest
 import delpezzo
 from delpezzo import cli
 from delpezzo.cli import build_parser, main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import record_reports  # noqa: E402
 
 
 def _run(capsys, *argv):
@@ -126,19 +129,6 @@ def test_table_driver(capsys):
         assert json.loads(out) == {"error": f"unsupported table id {table_id}"}
 
 
-def test_reports_match_the_recorded_digests(capsys):
-    """The table, cubic and dp2-example reports are byte-identical to those
-    whose digests perfbench/digests.json records."""
-    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-    by_argv = json.loads(digests.read_text())["by_argv"]
-    requests = [key for key in by_argv if not key.startswith(("dp1 rationality ", "invariants "))]
-    assert len(requests) == 19
-    for key in requests:
-        code, out = _run(capsys, *key.split(" "))
-        assert code == 0, key
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == by_argv[key], key
-
-
 def test_minimal_subcommand(capsys):
     from delpezzo.picard import PicardLattice
     from delpezzo.weyl import minus_on_kperp
@@ -204,6 +194,29 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
+def test_malformed_json_entries_exit_2_with_one_error_line(capsys):
+    """Seeded: 120 argvs, each a valid JSON argument with one entry replaced
+    by a bad one (a float, a numeric string, null, a bool, a dict, a list one
+    level too deep or too shallow, a wrong length, a sign bit of 2 or -1, a
+    repeated or out-of-range perm entry).  None may crash the CLI or be read
+    as some other value."""
+    options = record_reports.json_options()
+    for argv, value in options.values():
+        assert _run(capsys, *argv, json.dumps(value))[0] == 0, argv
+    rng = random.Random(22)
+    argvs = []
+    while len(argvs) < 120:
+        argv, value = options[rng.choice(sorted(options))]
+        kind = rng.choice(sorted(record_reports.MALFORMED))
+        paths = record_reports.malformed_paths(value, kind)
+        if paths:
+            argvs.append([*argv, json.dumps(record_reports.malformed(value, kind, rng.choice(paths)))])
+    for argv in argvs:
+        code, out = _run(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 2 and len(lines) == 1 and list(json.loads(lines[0])) == ["error"], argv
 
 
 def test_dp4_split_enumeration_is_refused_at_once(capsys, monkeypatch):

@@ -74,6 +74,24 @@ def test_sign_vector_validation():
     with pytest.raises(ValueError):
         sign_vector((1, 0, 0, 0, 0))
     assert sign_vector((1, 1, 0, 0, 0)).in_a()
+    # bits are the ints 0 and 1: 2 is not read as 0, nor 1.0 or true as 1
+    for bad in ((2, 0, 0, 0, 0), (-1, 1, 0, 0, 0), (1.0, 1, 0, 0, 0), (True, True, 0, 0, 0), (1, 1, 0, 0), 5):
+        with pytest.raises(ValueError, match="0 or 1"):
+            sign_vector(bad)
+        with pytest.raises(ValueError, match="0 or 1"):
+            DP4Element(bad)
+    for perm in ((0, 0, 1, 2, 3), (1, 2, 3, 4, 5), (0, 1, 2, 3), (0.0, 1, 2, 3, 4), (False, True, 2, 3, 4), None):
+        with pytest.raises(ValueError, match="permute"):
+            DP4Element((0, 0, 0, 0, 0), perm)
+
+
+def test_json_elements_are_one_based():
+    g = DP4Element((1, 0, 1, 1, 1), (0, 2, 1, 4, 3))
+    assert g.to_json() == {"sign": [1, 0, 1, 1, 1], "perm": [1, 3, 2, 5, 4]}
+    assert DP4Element.from_json(g.to_json()) == g
+    for perm in ([0, 1, 2, 3, 4], [1, 2, 3, 4, 5.0], 5):
+        with pytest.raises(ValueError, match="permute"):
+            DP4Element.from_json({"sign": [0, 0, 0, 0, 0], "perm": perm})
 
 
 def _np_element_matrix(sign, perm):
@@ -286,7 +304,7 @@ def test_isomorphism_labels():
 
 
 def _pairs(*angles_as_vectors):
-    return PencilSpec(tuple((Fraction(a), Fraction(b)) for a, b in angles_as_vectors))
+    return PencilSpec(angles_as_vectors)
 
 
 def test_wall_characteristic_values():
@@ -320,8 +338,12 @@ def test_wall_characteristic_degenerate():
         wall_characteristic(_pairs((1, 0), (-2, 0), (0, 1)))
     with pytest.raises(DegeneratePencil):
         wall_characteristic(_pairs((1, 1), (2, 2), (1, 0)))
-    with pytest.raises(ValueError):
-        PencilSpec(((Fraction(0), Fraction(0)),))
+    with pytest.raises(ValueError, match="nonzero"):
+        PencilSpec(((0, 0),))
+    # a pencil point is a direction, given by an integer pair
+    for bad in ((1.5, 0), (Fraction(1, 2), 1), ("1", 0), (True, 0), (1, 0, 0), (1,), 5, None):
+        with pytest.raises(ValueError, match="integer pairs"):
+            PencilSpec(((1, 0), bad))
 
 
 def _reference_close(gens):

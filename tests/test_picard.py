@@ -30,7 +30,7 @@ def brute_force_roots(degree, box):
 
 
 def test_roots_against_brute_force_oracle():
-    for degree, expected in ((6, 8), (5, 20), (4, 40)):
+    for degree, expected in ((7, 2), (6, 8), (5, 20), (4, 40)):
         oracle = brute_force_roots(degree, 3)
         assert len(oracle) == expected
         got = {c.coords for c in enumerate_roots(PicardLattice(degree))}
@@ -38,7 +38,7 @@ def test_roots_against_brute_force_oracle():
 
 
 def test_root_counts():
-    for degree, expected in ((6, 8), (5, 20), (4, 40), (3, 72), (2, 126), (1, 240)):
+    for degree, expected in ((7, 2), (6, 8), (5, 20), (4, 40), (3, 72), (2, 126), (1, 240)):
         assert len(enumerate_roots(PicardLattice(degree))) == expected
     # |W(E_8)| factorization sanity from the table of orders
     assert 2**14 * 3**5 * 5**2 * 7 == 696729600
@@ -61,9 +61,17 @@ def test_intersection_examples():
         lat.intersection(k, LatticeClass((1, 0)))
 
 
+def test_class_coordinates_are_integers_never_coerced():
+    assert LatticeClass([1, np.int64(-1), 0]).coords == (1, -1, 0)
+    assert type(LatticeClass(np.array([2, 0])).coords[0]) is int
+    for bad in (5, None, [0, 1.5], [0, 1.0], [0, "1"], [0, None], [0, True], [0, False], [0, [1]], [0, {"e": 1}]):
+        with pytest.raises(ValueError, match="integers"):
+            LatticeClass(bad)
+
+
 def test_unsupported_degrees():
     with pytest.raises(UnsupportedDegree):
-        enumerate_roots(PicardLattice(7))
+        enumerate_roots(PicardLattice(8))
     with pytest.raises(UnsupportedDegree):
         enumerate_exceptional(PicardLattice(8))
     with pytest.raises(UnsupportedDegree):

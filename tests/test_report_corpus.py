@@ -8,13 +8,23 @@ passing; a change that alters a report must re-record it and say so.
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from delpezzo.cli import main
 
-CORPUS = json.loads((Path(__file__).resolve().parent / "report_digests.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import record_reports  # noqa: E402
+
+CORPUS = json.loads((ROOT / "tests" / "report_digests.json").read_text())
+
+
+def test_the_corpus_holds_every_request_of_its_recorder():
+    """A request added but never recorded, or an entry edited by hand, fails."""
+    assert [(e["name"], e["argv"]) for e in CORPUS] == [(name, list(argv)) for name, argv in record_reports.requests()]
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=[e["name"] for e in CORPUS])

@@ -5,7 +5,12 @@ entries, where digest is the first 16 hex digits of the sha256 of the
 request's standard output.  tests/test_report_corpus.py replays every entry
 in-process and requires the same exit code and digest, so a refactor that
 must keep every report byte-identical shows each report it changes as a
-changed line of that file.
+changed line of that file; it also requires the corpus to hold exactly the
+requests below, so none is added without being recorded.
+
+The malformed requests replace one entry of a valid JSON argument
+(`json_options`) by a bad one (`MALFORMED`); tests/test_cli.py draws its
+seeded malformed argvs from the same two tables.
 
 Run from the repository root:
 
@@ -108,6 +113,84 @@ def _minimal_requests() -> list[tuple[str, list[str]]]:
     ]
 
 
+def json_options() -> dict[str, tuple[list[str], object]]:
+    """One valid value of each JSON option, after the argv that comes before it."""
+    from delpezzo.dp1 import a22_element
+    from delpezzo.picard import PicardLattice
+
+    swap = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]  # the reflection in e_1 - e_2
+    return {
+        "roots": (["classify-involution", "--degree", "3", "--roots"], [[0, 1, -1, 0, 0, 0, 0], [0, 0, 0, 1, -1, 0, 0]]),
+        "generators": (["minimal", "--degree", "6", "--generators"], [swap]),
+        "generator": (["dp1", "star", "--generator"], [list(row) for row in a22_element(PicardLattice(1)).matrix]),
+        "characteristic": (["dp4", "--characteristic"], [[1, 0], [6, 1], [-1, 2], [-3, 4], [0, -1]]),
+        "rank-elements": (
+            ["dp4", "--form", "q31-0-2", "--rank-elements"],
+            [{"sign": [0, 0, 0, 0, 0], "perm": [1, 2, 3, 4, 5]}, {"sign": [1, 0, 1, 1, 1], "perm": [1, 2, 3, 4, 5]}],
+        ),
+    }
+
+
+def _int(path, node):
+    return type(node) is int
+
+
+def _list(path, node):
+    return isinstance(node, list)
+
+
+# kind of bad entry -> (the nodes it replaces, given their path and value; the
+# replacement).  Every one must make the CLI exit 2 with one error line.
+MALFORMED = {
+    "float": (_int, lambda x: x + 0.5),
+    "string": (_int, str),
+    "null": (_int, lambda x: None),
+    "true": (_int, lambda x: True),
+    "false": (_int, lambda x: False),
+    "dict": (_int, lambda x: {"value": x}),
+    "too-deep": (_int, lambda x: [x]),
+    "too-shallow": (_list, lambda node: node[0]),
+    "too-long": (_list, lambda node: node + node[:1]),
+    "too-short": (_list, lambda node: node[:-1]),
+    "sign-bit-2": (lambda path, node: "sign" in path and _int(path, node), lambda x: 2),
+    "sign-bit-minus-1": (lambda path, node: "sign" in path and _int(path, node), lambda x: -1),
+    "perm-repeated": (lambda path, node: path[-1:] == ("perm",), lambda perm: perm[:1] + perm[:-1]),
+    "perm-out-of-range": (lambda path, node: "perm" in path and _int(path, node), lambda x: 6),
+}
+
+
+def malformed_paths(value, kind: str, path=()) -> list[tuple]:
+    """The path of every node below the top of value that kind replaces."""
+    applies = MALFORMED[kind][0]
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    out = []
+    for key, child in children:
+        if applies(path + (key,), child):
+            out.append(path + (key,))
+        out += malformed_paths(child, kind, path + (key,))
+    return out
+
+
+def malformed(value, kind: str, path: tuple):
+    """A copy of value with the node at path replaced as kind says."""
+    if not path:
+        return MALFORMED[kind][1](value)
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = malformed(value[path[0]], kind, path[1:])
+    return copy
+
+
+def _malformed_requests() -> list[tuple[str, list[str]]]:
+    """One request per JSON option and kind of bad entry, at its first node."""
+    out = []
+    for option, (argv, value) in json_options().items():
+        for kind in MALFORMED:
+            paths = malformed_paths(value, kind)
+            if paths:
+                out.append((f"malformed-{option}-{kind}", [*argv, json.dumps(malformed(value, kind, paths[0]))]))
+    return out
+
+
 HELP = [
     [name, "-h"]
     for name in ("lattice", "frames", "classify-involution", "minimal", "graph", "dp4", "cubic",
@@ -143,6 +226,7 @@ def requests() -> list[tuple[str, list[str]]]:
         ("frames-budget0", ["frames", "--degree", "3", "--k", "1", "--budget", "0"]),
         ("frames-k-too-large", ["frames", "--degree", "3", "--k", "9"]),
         ("frames-d7", ["frames", "--degree", "7", "--k", "1"]),
+        ("frames-d7-k2", ["frames", "--degree", "7", "--k", "2"]),
         ("frames-no-k", ["frames", "--degree", "3"]),
         ("classify-d3", ["classify-involution", "--degree", "3", "--roots", e6_root]),
         ("classify-d2", ["classify-involution", "--degree", "2", "--roots", "[[0,1,-1,0,0,0,0,0],[0,0,0,1,-1,0,0,0],[0,0,0,0,0,1,-1,0]]"]),
@@ -163,13 +247,22 @@ def requests() -> list[tuple[str, list[str]]]:
         ("dp4-characteristic", ["dp4", "--characteristic", "[[1,0],[6,1],[-1,2],[-3,4],[0,-1]]"]),
         ("dp4-rank-elements", ["dp4", "--form", "q31-0-2", "--rank-elements", rank]),
         ("dp4-q31-0-2-minimal", ["dp4", "--form", "q31-0-2", "--enumerate-minimal"]),
+        ("dp4-p2-1-2-minimal", ["dp4", "--form", "p2-1-2", "--enumerate-minimal"]),
         ("dp4-split-minimal", ["dp4", "--form", "split", "--enumerate-minimal"]),
         ("dp4-no-form", ["dp4", "--enumerate-minimal"]),
         ("dp4-no-request", ["dp4", "--form", "q31-0-2"]),
         ("dp4-element-without-perm", ["dp4", "--form", "q31-0-2", "--rank-elements", '[{"sign": [0, 0, 0, 0, 0]}]']),
         ("cubic-fermat-id-lines", ["cubic", "--model", "fermat", "--twist", "id", "--count-real-lines"]),
+        *[
+            (f"cubic-{model}-{twist}-lines-tritangents",
+             ["cubic", "--model", model, "--twist", twist, "--count-real-lines", "--count-real-tritangents"])
+            for model in ("clebsch", "fermat")
+            for twist in ("id", "t12", "t1234")
+        ],
         ("cubic-extra", ["cubic", "--model", "fermat", "extra"]),
         ("dp2-example", ["dp2-example", "--orbits"]),
+        ("dp2-example-w-sign-1", ["dp2-example", "--orbits", "--w-sign", "1"]),
+        ("dp2-example-w-sign--1", ["dp2-example", "--orbits", "--w-sign", "-1"]),
         ("dp2-example-bad-sign",["dp2-example", "--w-sign", "2"]),
         ("invariants-d8-6", ["invariants", "--group", "d8", "--degree", "6"]),
         ("invariants-z3-4", ["invariants", "--group", "z3", "--degree", "4"]),
@@ -182,11 +275,10 @@ def requests() -> list[tuple[str, list[str]]]:
         ("dp1-star-float-generator", ["dp1", "star", "--generator", star]),
         ("dp1-star-not-a22", ["dp1", "star", "--generator", json.dumps(_eye(9))]),
         ("dp1-no-leaf", ["dp1"]),
-        ("table-1", ["table", "--id", "1"]),
-        ("table-2", ["table", "--id", "2"]),
-        ("table-5", ["table", "--id", "5"]),
+        *[(f"table-{n}", ["table", "--id", str(n)]) for n in range(1, 8)],
         ("table-0", ["table", "--id", "0"]),
         ("table-8", ["table", "--id", "8"]),
+        *_malformed_requests(),
     ]
     names = [name for name, _ in out]
     if len(set(names)) != len(names):
