@@ -280,41 +280,24 @@ def find_star_configurations(g: Isometry) -> list[StarConfiguration]:
     if len(fixed) != 12:
         raise NotTypeA2Squared(f"expected 12 fixed classes, found {len(fixed)}")
 
-    def order_star(six: list[int]) -> list[int]:
-        start = min(six)
-        cycle = [start]
-        prev = None
-        while len(cycle) < 6:
-            nxt = [
-                j
-                for j in six
-                if j != cycle[-1] and j != prev and meet(cycle[-1], j) == 0
-            ]
-            prev = cycle[-1]
-            cycle.append(nxt[0])
-        return cycle
-
     stars: list[StarConfiguration] = []
-    # pointwise-fixed stars: components of the disjointness graph on the 12
+    # pointwise-fixed stars: the hexagons of the disjointness graph on the
+    # 12, each walked from its smallest class towards its smaller neighbour
+    disjoint = {i: [j for j in fixed if meet(i, j) == 0] for i in fixed}
+    if any(len(nbrs) != 2 for nbrs in disjoint.values()):
+        raise NotTypeA2Squared("fixed classes do not split into two stars")
     remaining = set(fixed)
     while remaining:
         start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in list(remaining):
-                if w not in comp and meet(v, w) == 0:
-                    comp.add(w)
-                    stack.append(w)
-        remaining -= comp
-        if len(comp) != 6:
+        cycle, nxt = [start], disjoint[start][0]
+        while nxt != start:
+            a, b = disjoint[nxt]
+            cycle.append(nxt)
+            nxt = b if a == cycle[-2] else a
+        if len(cycle) != 6:
             raise NotTypeA2Squared("fixed classes do not split into two stars")
-        stars.append(
-            StarConfiguration(
-                tuple(lines[i] for i in order_star(sorted(comp))), pointwise_fixed=True
-            )
-        )
+        remaining -= set(cycle)
+        stars.append(StarConfiguration(tuple(lines[i] for i in cycle), pointwise_fixed=True))
     # faithful stars: g-orbits {e, ge, g^2 e} of mutually twice-meeting
     # classes; a star is an orbit together with its Bertini image, so each
     # star arises from two orbits and is deduplicated by its index set

@@ -135,7 +135,7 @@ class CycloNum:
     gcd(den, *num) == 1, so the form is canonical at each conductor.
     """
 
-    __slots__ = ("n", "num", "den", "_hash")
+    __slots__ = ("n", "num", "den")
 
     def __new__(cls, n: int, coeffs):
         if n < 1:
@@ -290,12 +290,8 @@ class CycloNum:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            m = self.minimal_conductor_form()
-            _set_hash(self, hash(m.as_rational() if m.n == 1 else (m.n, m.num, m.den)))
-            return self._hash
+        m = self.minimal_conductor_form()
+        return hash(m.as_rational() if m.n == 1 else (m.n, m.num, m.den))
 
     def __repr__(self):
         terms = []
@@ -310,7 +306,7 @@ class CycloNum:
         return " + ".join(terms) if terms else "0"
 
 
-_set_n, _set_num, _set_den, _set_hash = (CycloNum.__dict__[s].__set__ for s in CycloNum.__slots__)
+_set_n, _set_num, _set_den = (CycloNum.__dict__[s].__set__ for s in CycloNum.__slots__)
 
 
 def _new(n: int, num, den: int) -> CycloNum:

@@ -266,16 +266,8 @@ def count_real_lines(lines: list[ProjSpaceLine], rs: TwistedRealStructure) -> in
 def count_real_tritangents(lines: list[ProjSpaceLine], rs: TwistedRealStructure) -> int:
     """Number of coplanar triples stable under the twisted real structure."""
     triples = tritangent_triples(lines)
-    image_index = []
-    for line in lines:
-        img = rs.apply_line(line)
-        idx = next(i for i, other in enumerate(lines) if other.same_line(img))
-        image_index.append(idx)
-    count = 0
-    for tri in triples:
-        if frozenset(image_index[i] for i in tri) == tri:
-            count += 1
-    return count
+    image_index = [_line_index(lines, rs.apply_line(line)) for line in lines]
+    return sum(frozenset(image_index[i] for i in tri) == tri for tri in triples)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +456,8 @@ def dp2_geiser(line: WeightedLine) -> WeightedLine:
     return WeightedLine(tuple(-c for c in line.w_form), line.lin, line.label)
 
 
-def _line_index(lines: list[WeightedLine], target: WeightedLine) -> int:
+def _line_index(lines, target) -> int:
+    """The index of the first of lines that is the same line as target."""
     for i, other in enumerate(lines):
         if other.same_line(target):
             return i

@@ -116,6 +116,9 @@ def _variations_at_inf(chain, positive: bool) -> int:
     return _sign_changes(p[-1] if positive or len(p) % 2 else -p[-1] for p in chain)
 
 
+# is_squarefree, isolate_real_roots and sign_at_root ask for the same
+# chains over and over: without this cache the `fibers` benchmark's
+# cpu_ref_s went from about 0.45 to 0.68 s on a 2-core machine.
 @lru_cache(maxsize=16)
 def _sturm(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Sturm chain of the squarefree part of a nonzero primitive p; the

@@ -48,7 +48,6 @@ class CapExceeded(ValueError):
         self.cap = cap
 
 
-@lru_cache(maxsize=None)
 def _eye(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -65,11 +64,12 @@ def _apply(mat, v) -> tuple[int, ...]:
 
 class Isometry:
     """Integer matrix, held as int rows, acting on column coordinate vectors;
-    it preserves the intersection form and fixes K."""
+    it preserves the intersection form and fixes K, which every construction
+    checks."""
 
     __slots__ = ("lattice", "matrix")
 
-    def __init__(self, lattice: PicardLattice, matrix, _validate: bool = True):
+    def __init__(self, lattice: PicardLattice, matrix):
         n = lattice.rank
         try:
             rows = [list(row) for row in matrix]
@@ -79,13 +79,12 @@ class Isometry:
             raise NotAnIsometry(f"matrix must be {n}x{n}")
         flat = _ints(chain.from_iterable(rows), NotAnIsometry, "matrix entries must be integers")
         mat = tuple(flat[i : i + n] for i in range(0, n * n, n))
-        if _validate:
-            g = lattice.gram
-            if _matmul(_matmul(tuple(zip(*mat)), g), mat) != g:
-                raise NotAnIsometry("matrix does not preserve the intersection form")
-            k = lattice.canonical.coords
-            if _apply(mat, k) != k:
-                raise NotAnIsometry("matrix does not fix the canonical class")
+        g = lattice.gram
+        if _matmul(_matmul(tuple(zip(*mat)), g), mat) != g:
+            raise NotAnIsometry("matrix does not preserve the intersection form")
+        k = lattice.canonical.coords
+        if _apply(mat, k) != k:
+            raise NotAnIsometry("matrix does not fix the canonical class")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "matrix", mat)
 
@@ -112,15 +111,12 @@ class Isometry:
             raise ValueError(f"the image {exc.args[0]} is not among the classes") from None
 
     def __mul__(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.lattice, _matmul(self.matrix, other.matrix), _validate=False)
+        return Isometry(self.lattice, _matmul(self.matrix, other.matrix))
 
     def inverse(self) -> "Isometry":
         # M^T G M = G and G^-1 = G for G = diag(1, -1, ..., -1) give M^-1 = G M^T G
         g = self.lattice.gram
-        inv = _matmul(_matmul(g, tuple(zip(*self.matrix))), g)
-        if _matmul(self.matrix, inv) != _eye(self.lattice.rank):
-            raise NotAnIsometry("matrix does not preserve the intersection form")
-        return Isometry(self.lattice, inv, _validate=False)
+        return Isometry(self.lattice, _matmul(_matmul(g, tuple(zip(*self.matrix))), g))
 
     def is_identity(self) -> bool:
         return self.matrix == _eye(self.lattice.rank)
@@ -140,7 +136,7 @@ class Isometry:
 
 
 def identity(lat: PicardLattice) -> Isometry:
-    return Isometry(lat, _eye(lat.rank), _validate=False)
+    return Isometry(lat, _eye(lat.rank))
 
 
 def reflection(lat: PicardLattice, root: LatticeClass) -> Isometry:
@@ -150,7 +146,7 @@ def reflection(lat: PicardLattice, root: LatticeClass) -> Isometry:
     s = root.coords
     gs = _apply(lat.gram, s)
     mat = [[(i == j) + x * y for j, y in enumerate(gs)] for i, x in enumerate(s)]
-    return Isometry(lat, mat, _validate=False)
+    return Isometry(lat, mat)
 
 
 class IsometryGroup:
@@ -175,10 +171,8 @@ class IsometryGroup:
     def __contains__(self, iso: Isometry) -> bool:
         if iso.lattice != self.lattice:
             return False
-        try:
-            perm = iso.permutation(_exceptional_cached(self.lattice.degree))
-        except ValueError:  # some image is not a line
-            return False
+        # an isometry fixing K sends lines to lines
+        perm = iso.permutation(_exceptional_cached(self.lattice.degree))
         return _sift(perm, self.base, self.transversals, 0) == (tuple(range(len(perm))), len(self.base))
 
     def __repr__(self):
@@ -372,13 +366,15 @@ def simple_roots(lat: PicardLattice) -> list[LatticeClass]:
     return roots
 
 
+_W_E8_ORDER = 696729600  # the largest Weyl group on degrees 1..7
+
+
 @lru_cache(maxsize=None)
-def full_weyl_group(degree: int, cap: int = 60000) -> IsometryGroup:
-    """The group the simple reflections generate (over the default cap on
-    degrees 1 and 2)."""
+def full_weyl_group(degree: int) -> IsometryGroup:
+    """The group the simple reflections generate, on degrees 1..7."""
     lat = PicardLattice(degree)
     gens = [reflection(lat, s) for s in simple_roots(lat)]
-    return close_group(lat, gens, cap=cap)
+    return close_group(lat, gens, cap=_W_E8_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +429,7 @@ def involution_frames(lat: PicardLattice, k: int, budget: int = 200000) -> Frame
     counts = _kernels.fixed_counts(_kernels._orthogonal(pos, lat.gram, lines), frames)
     fps = []
     for c, frame in _kernels._first_frames(counts, frames):
-        iso = Isometry(lat, frame_matrix(lat, [pos[i] for i in frame]), _validate=False)
+        iso = Isometry(lat, frame_matrix(lat, [pos[i] for i in frame]))
         fp = fingerprint(lat, iso)
         if fp.fixed_line_count != c:
             raise ArithmeticError(

@@ -132,6 +132,16 @@ def test_real_tritangent_counts():
     assert count_real_lines(clines, clebsch_twist("t1234")) == 7
 
 
+def test_real_tritangents_refuse_a_twist_off_the_surface():
+    # diag(-1, 1, 1, 1) is a real structure of P^3 that does not preserve
+    # the Fermat cubic, so some image of a line is not one of its lines
+    one = CycloNum.rational(1)
+    zero = CycloNum.rational(0)
+    diag = tuple(tuple((-one if i == 0 else one) if i == j else zero for j in range(4)) for i in range(4))
+    with pytest.raises(ValueError, match="image is not in the line set"):
+        count_real_tritangents(fermat_lines(), TwistedRealStructure(diag))
+
+
 def test_invalid_cocycle_rejected():
     one = CycloNum.rational(1)
     zero = CycloNum.rational(0)
