@@ -191,6 +191,24 @@ def _malformed_requests() -> list[tuple[str, list[str]]]:
     return out
 
 
+# (name, f4, f6): one surface per branch of dp1.classify_fibers
+FIBER_CASES = [
+    ("finite-acnodes", "0,2,-1,1,-2", "-1,-2,0,0,2,-1,0"),
+    ("finite-crunodes", "0,-2,0,-1,-2", "1,-1,0,0,-1,2,2"),
+    ("finite-cusp", "2,0,2,0,0", "-2,2,2,2,0,1,0"),
+    ("cusp-at-rational-root", "-2,2,-1,2,0", "0,0,0,0,0,2,0"),
+    ("acnode-at-rational-root", "-1,0,0,1,2", "-1,0,2,2,1,-1,-2"),
+    ("cusp-at-infinity", "0,-1,-2,0,-2", "0,1,0,0,0,0,1"),
+    ("crunode-at-infinity", "-12,-1,-2,1,0", "16,-2,1,-2,-1,2,2"),
+    ("acnode-at-infinity", "-3,-1,-2,1,-1", "-2,0,0,-1,1,-2,1"),
+    ("non-cusp-multiple-root", "-1,-2,2,0,0", "-1,0,0,2,-1,0,0"),
+    ("cusp-root-multiplicity", "-1,-1,1,0,-1", "1,2,0,-2,-1,0,0"),
+    ("cusp-at-infinity-multiplicity", "0,-2,0,0,2", "0,0,1,0,-1,0,0"),
+    ("multiple-root-at-infinity", "-12,0,-2,-2,1", "-16,0,0,1,-2,1,-1"),
+    ("zero-discriminant", "0,0,0,0,0", "0,0,0,0,0,0,0"),
+    ("wrong-coefficient-count", "1,0,0,0", "1,0,0,0,0,0,1"),
+]
+
 HELP = [
     [name, "-h"]
     for name in ("lattice", "frames", "classify-involution", "minimal", "graph", "dp4", "cubic",
@@ -270,6 +288,7 @@ def requests() -> list[tuple[str, list[str]]]:
         ("invariants-d0", ["invariants", "--group", "d0", "--degree", "2"]),
         ("dp1-rationality", ["dp1", "rationality", "--f4=-2,0,-2,0,-2", "--f6=-1,0,-2,0,-2,0,2"]),
         ("dp1-rationality-not-rational", ["dp1", "rationality", "--f4=z4^1,0,0,0,0", "--f6=1,0,0,0,0,0,1"]),
+        *[(f"dp1-rationality-{name}", ["dp1", "rationality", f"--f4={f4}", f"--f6={f6}"]) for name, f4, f6 in FIBER_CASES],
         ("dp1-star-reference", ["dp1", "star", "--reference"]),
         ("dp1-star-default", ["dp1", "star"]),
         ("dp1-star-float-generator", ["dp1", "star", "--generator", star]),
