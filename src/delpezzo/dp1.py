@@ -76,13 +76,11 @@ def _integral(form: BinaryForm) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def _dehomogenize(form: BinaryForm) -> tuple[list[Fraction], int]:
-    """(coeffs of F(t, 1) ascending, multiplicity of the root at infinity)."""
-    coeffs = form.rational_coeffs()  # x^k, ..., y^k
-    asc = list(reversed(coeffs))  # t^0 ... t^k with t = x/y
-    poly = realroots.poly_trim(asc)
-    inf_mult = form.degree - realroots.poly_degree(poly) if poly else form.degree
-    return poly, inf_mult
+def _dehomogenize(form: BinaryForm) -> tuple[tuple[int, ...], int]:
+    """(F(t, 1) in primitive integer form, ascending in t = x/y;
+    multiplicity of the root at infinity)."""
+    poly = realroots._reduce(_integral(form)[0][::-1])  # coefficients run x^k ... y^k
+    return poly, form.degree - len(poly) + 1 if poly else form.degree
 
 
 @dataclass(frozen=True)
@@ -106,21 +104,20 @@ def classify_fibers(s: DP1Surface) -> list[FiberReport]:
     cusp = realroots.squarefree_part(realroots.poly_gcd(f4d, f6d))
     reports: list[FiberReport] = []
     # finite cusp roots
-    cusp_intervals = realroots.isolate_real_roots(cusp) if realroots.poly_degree(cusp) >= 1 else []
+    cusp_intervals = realroots.isolate_real_roots(cusp) if len(cusp) > 1 else []
     residual = disc
-    if realroots.poly_degree(cusp) >= 1:
+    if len(cusp) > 1:
         for _ in range(2):
-            q, r = realroots.poly_divmod(residual, cusp)
+            q, r, _ = realroots._pdivmod(residual, cusp)
+            # f4 and f6 vanish at each cusp root, so 4 f4^3 + 27 f6^2 does to order >= 2
             if r:
-                raise NonSquarefreeDiscriminant(
-                    "cusp root of unexpected multiplicity in the discriminant"
-                )
-            residual = q
+                raise ArithmeticError("cusp^2 leaves a remainder in the discriminant")
+            residual = realroots._reduce(q)
     if not realroots.is_squarefree(residual):
         raise NonSquarefreeDiscriminant("discriminant has a non-cusp multiple root")
-    if realroots.poly_degree(realroots.poly_gcd(residual, cusp)) >= 1:
+    if len(realroots.poly_gcd(residual, cusp)) > 1:
         raise NonSquarefreeDiscriminant("cusp root of unexpected multiplicity")
-    located: list[tuple[list[Fraction], tuple[Fraction, Fraction], str]] = []
+    located: list[tuple[tuple[int, ...], tuple[Fraction, Fraction], str]] = []
     for interval in cusp_intervals:
         located.append((cusp, interval, "cusp"))
     for interval in realroots.isolate_real_roots(residual):

@@ -1,15 +1,16 @@
 """Exact real root isolation for rational polynomials via Sturm chains.
 
-Polynomials are ascending coefficient lists over Fraction.  Isolation
+Polynomials go in as ascending coefficient sequences of ints or Fractions.
+Each is converted once to its primitive integer form: a positive rational
+multiple of it with coprime integer coefficients and no trailing zeros, so
+it has the same roots and the same sign everywhere.  Polynomials come out
+in that form, as int tuples (`poly_gcd`, `squarefree_part`).  Isolation
 returns disjoint rational intervals, each containing exactly one real root
 (endpoints are never roots; exact rational roots get degenerate intervals).
 
-Inside, each polynomial is converted once to its primitive integer form: a
-positive rational multiple of it with coprime integer coefficients, so it
-has the same roots and the same sign everywhere.  Division, gcd and Sturm
-chains use sign-preserving pseudo-remainders with the content divided out
-at each step (the primitive PRS of Collins, 1967), and the sign at
-x = a/b (b > 0) is the sign of b^d p(a/b), an integer.
+Division, gcd and Sturm chains use sign-preserving pseudo-remainders with
+the content divided out at each step (the primitive PRS of Collins, 1967),
+and the sign at x = a/b (b > 0) is the sign of b^d p(a/b), an integer.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 
+# poly_trim, poly_degree and count_real_roots have no caller in the package;
+# perfbench/micro.py still calls them.
 def poly_trim(p: list[Fraction]) -> list[Fraction]:
     p = [Fraction(c) for c in p]
     while p and p[-1] == 0:
@@ -123,7 +126,7 @@ def _variations_at_inf(chain, positive: bool) -> int:
 def _sturm(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Sturm chain of the squarefree part of a nonzero primitive p; the
     first member is that squarefree part."""
-    sf = _primitive(squarefree_part(p))
+    sf = squarefree_part(p)
     chain = [sf]
     if len(sf) > 1:
         chain.append(_reduce(_deriv(sf)))
@@ -144,41 +147,25 @@ def _sign(v) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the Fraction-list interface
+# the public interface: int or Fraction sequences in, primitive int tuples out
 
 
-def poly_divmod(num, den):
-    """(quotient, remainder) of num by den over Q."""
-    num, den = poly_trim(num), poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return [], []
-    a, b = _primitive(num), _primitive(den)
-    q, r, m = _pdivmod(a, b)
-    scale = num[-1] / a[-1] / m  # num == scale * (q * b + r)
-    qscale = scale * b[-1] / den[-1]  # den == den[-1] / b[-1] * b
-    return [c * qscale for c in q], [c * scale for c in r]
+def poly_gcd(a, b) -> tuple[int, ...]:
+    """gcd of a and b, primitive with a positive lead; () when both are zero."""
+    return _gcd(_primitive(a), _primitive(b))
 
 
-def poly_gcd(a, b):
-    """Monic gcd; [] when both are zero."""
-    g = _gcd(_primitive(a), _primitive(b))
-    return [Fraction(c, g[-1]) for c in g]
-
-
-def squarefree_part(p):
-    """p / gcd(p, p') times a positive rational, with coprime integer
-    coefficients: every root of p, each simple."""
+def squarefree_part(p) -> tuple[int, ...]:
+    """p / gcd(p, p') in primitive form: every root of p, each simple."""
     p = _primitive(p)
     if len(p) > 1:
-        g = poly_gcd(p, _deriv(p))
-        if poly_degree(g) >= 1:
-            q, r, _ = _pdivmod(p, _primitive(g))
+        g = _gcd(p, _deriv(p))
+        if len(g) > 1:
+            q, r, _ = _pdivmod(p, g)
             if r:
                 raise ArithmeticError("gcd(p, p') leaves a remainder in p")
             p = _reduce(q)
-    return [Fraction(c) for c in p]
+    return p
 
 
 def is_squarefree(p) -> bool:

@@ -116,7 +116,7 @@ def _dehom(form):
 
 
 def _dehom_exact(form):
-    return realroots.poly_trim(list(reversed(form.rational_coeffs()))), None
+    return list(reversed(form.rational_coeffs())), None
 
 
 def _newton(poly, x):
@@ -249,20 +249,18 @@ def test_bertini_twist_trace_relation():
 
 
 def test_sturm_helpers():
-    # (x - 1)(x - 2)(x + 3)
-    p = [Fraction(6), Fraction(-7), Fraction(0), Fraction(1)]
-    p = realroots.poly_trim([6, -7, 0, 1])
+    p = [6, -7, 0, 1]  # (x - 1)(x - 2)(x + 3)
     roots = realroots.isolate_real_roots(p)
     assert len(roots) == 3
     assert realroots.count_real_roots(p) == 3
     assert realroots.is_squarefree(p)
-    sq = realroots.poly_trim([1, 2, 1])  # (x+1)^2
+    sq = [1, 2, 1]  # (x+1)^2
     assert not realroots.is_squarefree(sq)
-    assert realroots.squarefree_part(sq) == [Fraction(1), Fraction(1)]
+    assert realroots.squarefree_part(sq) == (1, 1)
 
 
 def test_squarefree_part_raises_on_a_remainder(monkeypatch):
     # a "gcd" x that does not divide x^2 + 1
-    monkeypatch.setattr(realroots, "poly_gcd", lambda a, b: [Fraction(0), Fraction(1)])
+    monkeypatch.setattr(realroots, "_gcd", lambda a, b: (0, 1))
     with pytest.raises(ArithmeticError):
-        realroots.squarefree_part([Fraction(c) for c in (1, 0, 1)])
+        realroots.squarefree_part([1, 0, 1])
