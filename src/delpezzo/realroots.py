@@ -20,8 +20,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 
-# poly_trim, poly_degree and count_real_roots have no caller in the package;
-# perfbench/micro.py still calls them.
+# the two helpers below and count_real_roots have no caller in the package;
+# perfbench/micro.py still calls them
 def poly_trim(p: list[Fraction]) -> list[Fraction]:
     p = [Fraction(c) for c in p]
     while p and p[-1] == 0:
