@@ -241,6 +241,12 @@ def requests() -> list[tuple[str, list[str]]]:
         ],
         ("frames-d2-k3-budget7", ["frames", "--degree", "2", "--k", "3", "--budget", "7"]),
         ("frames-d3-k1-budget36", ["frames", "--degree", "3", "--k", "1", "--budget", "36"]),
+        # budgets around the scan's chunk size and one frame short of the whole scan
+        *[
+            (f"frames-d{d}-k{k}-budget{b}", ["frames", "--degree", str(d), "--k", str(k), "--budget", str(b)])
+            for d, k, b in ((1, 4, 1), (1, 4, 4095), (1, 4, 4096), (1, 4, 4097), (1, 4, 122849),
+                            (1, 5, 113399), (2, 4, 4724))
+        ],
         ("frames-budget0", ["frames", "--degree", "3", "--k", "1", "--budget", "0"]),
         ("frames-k-too-large", ["frames", "--degree", "3", "--k", "9"]),
         ("frames-d7", ["frames", "--degree", "7", "--k", "1"]),
