@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from . import realroots
 from .colorgraph import _orbits
-from .exactnum import _poly_mul, _solve
+from .exactnum import _solve
 from .invforms import BinaryForm, PointGroup2D, group_from_label, in_span, invariant_subspace
 from .picard import LatticeClass, PicardLattice, enumerate_exceptional
 
@@ -62,8 +62,8 @@ def discriminant(s: DP1Surface) -> BinaryForm:
     """
     a, d4 = _integral(s.f4)
     b, d6 = _integral(s.f6)
-    a3 = _poly_mul(_poly_mul(a, a), a)
-    b2 = _poly_mul(b, b)
+    a3 = realroots._poly_mul(realroots._poly_mul(a, a), a)
+    b2 = realroots._poly_mul(b, b)
     u, v = 4 * d6**2, 27 * d4**3
     den = d4**3 * d6**2
     return BinaryForm.from_rational([Fraction(u * x + v * y, den) for x, y in zip(a3, b2)])

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .realroots import _pdivmod, isolate_real_roots, sign_at_root
+from .realroots import _pdivmod, _poly_mul, isolate_real_roots, sign_at_root
 
 
 class NonRealInput(ValueError):
@@ -29,19 +29,6 @@ class NonRealInput(ValueError):
 
 class ParseError(ValueError):
     """Raised on malformed scalar literals."""
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (coefficient lists, ascending degree)
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -56,6 +56,15 @@ def _deriv(p) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
 def _pdivmod(a, b) -> tuple[list[int], list[int], int]:
     """(q, r, m) with m*a == q*b + r, an integer m > 0 and deg r < deg b.
 

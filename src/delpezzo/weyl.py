@@ -18,7 +18,6 @@ from itertools import chain
 from math import prod
 
 from .colorgraph import _perm_inverse, _transversal
-from .exactnum import _poly_mul
 from .picard import (
     DimensionMismatch,
     LatticeClass,
@@ -30,7 +29,7 @@ from .picard import (
     enumerate_roots,
     tritangent_trios,
 )
-from .realroots import _pdivmod
+from .realroots import _pdivmod, _poly_mul
 
 
 class NotARoot(ValueError):
@@ -104,9 +103,20 @@ class Isometry:
 
         Raises ValueError when an image is not among the classes.
         """
-        index = {c.coords: i for i, c in enumerate(classes)}
+        coords = [c.coords for c in classes]
+        index = {c: i for i, c in enumerate(coords)}
+        cols = list(zip(*coords))  # cols[j]: coordinate j of every class
+        rows = []
+        for mrow in self.matrix:
+            # coordinate i of every image, from the nonzero entries of row i
+            row = None
+            for m, col in zip(mrow, cols):
+                if m:
+                    term = col if m == 1 else [m * x for x in col]
+                    row = term if row is None else list(map(operator.add, row, term))
+            rows.append(row or ())  # () when there are no classes
         try:
-            return tuple(index[_apply(self.matrix, c.coords)] for c in classes)
+            return tuple(index[image] for image in zip(*rows))
         except KeyError as exc:
             raise ValueError(f"the image {exc.args[0]} is not among the classes") from None
 

@@ -314,6 +314,21 @@ def test_table_1_peak_rss():
     assert table - bare < 25, (table, bare)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def test_table_7_peak_rss():
+    """Table 7 scans the frames of E8 for k = 0..8, up to 122850 of them at
+    k = 4; a fresh process doing so peaks less than 11 MB above a process
+    that only imports the modules table 7 loads."""
+    table = _peak_mb(
+        "import contextlib, io\n"
+        "from delpezzo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['table', '--id', '7']) == 0\n"
+    )
+    bare = _peak_mb("import delpezzo.cli, delpezzo.weyl, delpezzo._kernels\n")
+    assert table - bare < 11, (table, bare)
+
+
 # a valid argv for every subcommand and both dp1 leaves
 _VALID_ARGVS = [
     ["lattice", "--degree", "3", "--what", "lines"],
@@ -403,8 +418,9 @@ def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
 def test_subcommands_import_only_what_they_use():
     """The CLI starts without numpy; `lattice`, tables 1, 2 and 5, the dp4
     requests, `dp1 rationality`, `minimal`, `dp1 star`, `graph` and
-    `classify-involution` run without it; and a dp4 rank never loads the
-    Weyl-group layer."""
+    `classify-involution` run without it; a dp4 rank never loads the
+    Weyl-group layer; and tables 1 and 7, which need only the Weyl-group
+    layer and the frame scan, load no cyclotomic arithmetic."""
     from delpezzo.picard import PicardLattice
     from delpezzo.weyl import minus_on_kperp
 
@@ -452,3 +468,13 @@ def test_subcommands_import_only_what_they_use():
     after_weyl = json.loads(last)
     assert "numpy" not in after_weyl and "delpezzo._kernels" not in after_weyl
     assert {"delpezzo.weyl", "delpezzo.minimality", "delpezzo.confgraphs"} <= set(after_weyl)
+    out = _child(
+        "import contextlib, io, json, sys\n"
+        "import delpezzo.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['table', '--id', '1']), cli.main(['table', '--id', '7'])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('delpezzo'))]))\n"
+    )
+    codes, after_tables = json.loads(out)
+    assert codes == [0, 0]
+    assert "delpezzo.exactnum" not in after_tables and {"delpezzo.weyl", "delpezzo._kernels"} <= set(after_tables)

@@ -81,10 +81,10 @@ def _random_graph(rng, n):
 
 def _assert_same_scan(got, want):
     (frames, truncated), (ref, ref_truncated) = got, want
-    assert frames.dtype == ref.dtype == np.int32
+    assert frames.dtype == np.uint8
     assert frames.shape == ref.shape
     assert frames.flags.c_contiguous
-    assert frames.tobytes() == ref.tobytes()
+    assert frames.tolist() == ref.tolist()
     assert truncated is ref_truncated
 
 
@@ -103,8 +103,50 @@ def test_cliques_match_the_recursion_on_random_graphs():
 
 
 def test_cliques_match_the_recursion_across_chunks(monkeypatch):
+    _kernels._cliques.cache_clear()  # a cached level was built with the full chunk
     monkeypatch.setattr(_kernels, "_CHUNK", 3)
     _check_against_recursion(np.random.default_rng(7), 12)
+
+
+def test_cached_levels_belong_to_their_graph():
+    """Two graphs of one size asked in turn: each scan is its own graph's."""
+    rng = np.random.default_rng(11)
+    graphs = [_random_graph(rng, 30) for _ in range(2)]
+    assert graphs[0].tobytes() != graphs[1].tobytes()
+    for k in (1, 2, 3, 3, 4, 2, 5):
+        for adj in graphs:
+            _assert_same_scan(enumerate_cliques(adj, k, 10**6), _cliques_by_recursion(adj, k, 10**6))
+
+
+def test_cached_levels_in_any_order():
+    """E8 asked for k out of order gives each k's scan, and a cold k = 8
+    equals a warm one."""
+    _, _, adj, _ = _data(1)
+    for k in (8, 3, 5, 3):
+        _assert_same_scan(enumerate_cliques(adj, k, 10**6), _cliques_by_recursion(adj, k, 10**6))
+    warm, _ = enumerate_cliques(adj, 8, 10**6)
+    _kernels._cliques.cache_clear()
+    cold, _ = enumerate_cliques(adj, 8, 10**6)
+    assert cold.shape == (2025, 8)
+    assert cold.tobytes() == warm.tobytes()
+
+
+def test_scanned_frames_are_read_only():
+    _, _, adj, _ = _data(3)
+    for k in (2, 3):
+        frames, _ = enumerate_cliques(adj, k, 10**6)
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[0, 0] = 1
+    cached = _kernels._cliques(_kernels._pack(np.triu(adj, 1)).tobytes(), adj.shape[0], 3)
+    assert not any(a.flags.writeable for a in cached)
+
+
+def test_frames_hold_at_most_256_vertices():
+    frames, truncated = enumerate_cliques(np.zeros((256, 256), dtype=bool), 1, 300)
+    assert frames[:, 0].tolist() == list(range(256)) and not truncated
+    with pytest.raises(ValueError):
+        enumerate_cliques(np.zeros((257, 257), dtype=bool), 1, 300)
 
 
 def test_fixed_counts_match_the_boolean_gather():
@@ -125,8 +167,8 @@ def test_clique_paths_agree():
         for k in ks:
             frames, truncated = enumerate_cliques(adj, k, 10**6)
             assert not truncated
-            assert frames.dtype == np.int32
-            assert np.array_equal(frames, _cliques_by_combinations(adj, k)), (degree, k)
+            assert frames.dtype == np.uint8
+            assert frames.tolist() == _cliques_by_combinations(adj, k).tolist(), (degree, k)
 
 
 def test_clique_cap_truncates():
