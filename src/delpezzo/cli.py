@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -512,13 +513,25 @@ def main(argv=None) -> int:
     try:
         out = args.func(args)
     except ValueError as exc:  # UsageError, UnsupportedDegree, ParseError and CapExceeded included
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 2
+        return _emit(json.dumps({"error": str(exc)}, sort_keys=True), 2)
     if isinstance(out, str):  # DOT
-        print(out)
-        return 0
-    print(json.dumps(out, indent=2, sort_keys=True, default=str))
-    return 0 if all(c["pass"] for c in out["checks"]) else 1
+        return _emit(out, 0)
+    return _emit(json.dumps(out, indent=2, sort_keys=True, default=str), 0 if all(c["pass"] for c in out["checks"]) else 1)
+
+
+def _emit(text: str, code: int) -> int:
+    """Print the report and return its exit code.
+
+    A reader that closes stdout early (`| head`) ends the output; it is not
+    a failed check.  stdout then points at os.devnull, so the interpreter's
+    flush at exit cannot fail and turn the code into 120.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -47,11 +47,6 @@ class DP1Surface:
         if self.disc.is_zero():
             raise ValueError("identically-zero discriminant: every fiber is singular")
 
-    def is_smooth_proxy(self) -> bool:
-        """Squarefreeness of the discriminant form (the smoothness proxy)."""
-        dehom, inf_mult = _dehomogenize(self.disc)
-        return realroots.is_squarefree(dehom) and inf_mult <= 1
-
 
 def discriminant(s: DP1Surface) -> BinaryForm:
     """The degree-12 form 4 f4^3 + 27 f6^2.
@@ -151,13 +146,9 @@ def classify_fibers(s: DP1Surface) -> list[FiberReport]:
     return reports
 
 
-def euler_heuristic(s: DP1Surface) -> tuple[int, str]:
+def _euler_verdict(reports: list[FiberReport]) -> tuple[int, str]:
     """(acnodes - crunodes, verdict); negative Euler number certifies a
     connected real locus (hence rationality), anything else is inconclusive."""
-    return _euler_verdict(classify_fibers(s))
-
-
-def _euler_verdict(reports: list[FiberReport]) -> tuple[int, str]:
     euler = sum(1 for r in reports if r.kind == "acnode") - sum(
         1 for r in reports if r.kind == "crunode"
     )
@@ -357,13 +348,3 @@ _A22_BLOCK_MATRIX = (
     (0, 0, 0, 0, 0, 0, -1, -1),
     (0, 0, 0, 0, 0, 0, 1, 0),
 )
-
-
-def bertini_twist_trace_identity(lat: PicardLattice, sigma: Isometry) -> bool:
-    """tr of (Bertini o sigma) on K-perp equals minus the trace of sigma."""
-    from .weyl import minus_on_kperp
-
-    beta = minus_on_kperp(lat)
-    lhs = (beta * sigma).trace() - 1
-    rhs = -(sigma.trace() - 1)
-    return lhs == rhs

@@ -405,11 +405,7 @@ def _angle_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
     if hu != hv:
         return -1 if hu < hv else 1
     cross = u[0] * v[1] - u[1] * v[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
+    return (cross < 0) - (cross > 0)
 
 
 def wall_characteristic(p: PencilSpec) -> tuple[int, ...]:

@@ -5,9 +5,7 @@ Every value is immutable.  A :class:`CycloNum` is stored as an integer
 numerator vector over one positive denominator, in lowest terms, for the
 canonical residue modulo the n-th cyclotomic polynomial, so equality of field
 elements is literal equality of (numerators, denominator) at the same
-conductor.  Complex conjugation is the ring map zeta -> zeta^(n-1), and signs
-of real elements are decided exactly: zero from the representation, nonzero
-by Sturm isolation of 2 cos(2 pi/n) in `realroots`.
+conductor.  Complex conjugation is the ring map zeta -> zeta^(n-1).
 
 Integer and rational linear systems, here and in the lattice modules, go
 through fraction-free integer elimination (`_echelon`, after Bareiss 1968)
@@ -20,11 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .realroots import _pdivmod, _poly_mul, isolate_real_roots, sign_at_root
-
-
-class NonRealInput(ValueError):
-    """Raised when real_sign is applied to an element outside the real subfield."""
+from .realroots import _pdivmod, _poly_mul
 
 
 class ParseError(ValueError):
@@ -390,52 +384,6 @@ def cyclo_make(n: int, k: int) -> CycloNum:
 def conj(x: CycloNum) -> CycloNum:
     """Complex conjugation, the ring involution zeta -> zeta^(n-1)."""
     return _new(x.n, _substitute(x.num, x.n, x.n - 1, len(x.num)), x.den)
-
-
-def _dickson_sum(coeffs) -> list[int]:
-    """sum coeffs[k] * D_k(t), ascending, for the Dickson polynomials with
-    z^k + z^-k = D_k(z + 1/z): D_0 = 2, D_1 = t, D_k = t D_(k-1) - D_(k-2)."""
-    out = [0] * len(coeffs)
-    prev, cur = [0, 1], [2]  # D_-1 = t and D_0
-    for c in coeffs:
-        for i, d in enumerate(cur):
-            out[i] += c * d
-        nxt = [0] + cur
-        for i, d in enumerate(prev):
-            nxt[i] -= d
-        prev, cur = cur, nxt
-    return out
-
-
-def real_sign(x: CycloNum) -> int:
-    """Sign of a real cyclotomic number under zeta_n -> exp(2*pi*i/n).
-
-    Zero and rational signs are read from the representation.  Otherwise
-    2 den x = sum num_k (zeta^k + zeta^-k) = P(c) with P = sum num_k D_k and
-    c = 2 cos(2 pi/n), the largest root of Psi_n, where
-    Phi_n(z) = z^(phi/2) Psi_n(z + 1/z) (Lehmer 1933); the Sturm core of
-    `realroots` isolates c and decides the sign of P there exactly.
-    """
-    if conj(x) != x:
-        raise NonRealInput(f"{x!r} is not fixed by conjugation")
-    if x.is_zero():
-        return 0
-    if x.is_rational():
-        return 1 if x.num[0] > 0 else -1
-    a = cyclotomic_poly(x.n)  # palindromic of degree phi = 2m
-    m = len(x.num) // 2
-    psi = _dickson_sum(a[m:])
-    psi[0] -= a[m]  # Psi_n = a_m + sum a_(m+k) D_k: a_m once, not a_m D_0
-    return sign_at_root(psi, isolate_real_roots(psi)[-1], _dickson_sum(x.num))
-
-
-def float_value(x: CycloNum) -> complex:
-    """Floating image under zeta_n -> exp(2*pi*i/n) (for tests and display)."""
-    import cmath
-
-    return sum(
-        complex(c) * cmath.exp(2j * cmath.pi * k / x.n) for k, c in enumerate(x.coeffs)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,7 @@ ONE = _rat(1)
 def mat_rank(rows) -> int:
     """Rank of a matrix over cyclotomic numbers, fraction-free elimination."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if rows else 0
     rank = 0
     for c in range(ncols):
         piv = next((i for i in range(rank, len(rows)) if not rows[i][c].is_zero()), None)

@@ -197,8 +197,6 @@ def _rref_rational(rows: list[list[CycloNum]]) -> list[list[Fraction]]:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
-        if r == nrows:
-            break
     out = []
     for row in rows[:r]:
         if not all(x.is_rational() for x in row):

@@ -111,22 +111,17 @@ class PicardLattice:
         return self.intersection(a, self.canonical)
 
 
-def intersection(lat: PicardLattice, a: LatticeClass, b: LatticeClass) -> int:
-    return lat.intersection(a, b)
-
-
 def _enumerate_classes(r: int, self_int: int, k_int: int) -> list[LatticeClass]:
     """All (a; b_1..b_r) with a^2 - sum b_i^2 = self_int, -3a - sum b_i = k_int.
 
     The e_0 coefficient is bounded by Cauchy-Schwarz applied to the b-part:
     (3a + k)^2 = (sum b_i)^2 <= r (a^2 - self_int), a quadratic inequality in
-    a with positive leading coefficient 9 - r > 0.
+    a with positive leading coefficient 9 - r > 0.  Its discriminant is
+    8r(9 - r) for roots and 4r(10 - r) for (-1)-classes, never negative.
     """
     out = []
     lead = 9 - r
     disc = 36 * k_int * k_int - 4 * lead * (k_int * k_int + r * self_int)
-    if disc < 0:
-        return []
     half_width = math.isqrt(disc) + 1
     a_lo = (-6 * k_int - half_width) // (2 * lead) - 1
     a_hi = (-6 * k_int + half_width) // (2 * lead) + 1

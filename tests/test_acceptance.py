@@ -11,9 +11,9 @@ import numpy as np
 from delpezzo import colorgraph
 from delpezzo.dp1 import (
     DP1Surface,
+    _euler_verdict,
     a22_element,
     classify_fibers,
-    euler_heuristic,
     find_star_configurations,
     star_block_matrix,
     table8_certify_row,
@@ -334,9 +334,9 @@ def test_criterion_13_degree1_heuristic():
         for row, (f4c, f6c) in TABLE8_FIXTURES.items():
             s = DP1Surface(BinaryForm.from_rational(f4c), BinaryForm.from_rational(f6c))
             assert table8_certify_row(row, s), row
-            euler, verdict = euler_heuristic(s)
-            assert verdict == "rational", (row, euler)
             reports = classify_fibers(s)
+            euler, verdict = _euler_verdict(reports)
+            assert verdict == "rational", (row, euler)
             crunodes = sum(1 for r in reports if r.kind == "crunode")
             acnodes = sum(1 for r in reports if r.kind == "acnode")
             assert crunodes > acnodes

@@ -478,3 +478,20 @@ def test_subcommands_import_only_what_they_use():
     codes, after_tables = json.loads(out)
     assert codes == [0, 0]
     assert "delpezzo.exactnum" not in after_tables and {"delpezzo.weyl", "delpezzo._kernels"} <= set(after_tables)
+
+
+def test_a_reader_that_closes_stdout_ends_the_output():
+    """`delpezzo table --id 7 | head -c 10`: the reader is gone before the
+    report is written, which ends the output but fails no check."""
+    src = str(Path(delpezzo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "delpezzo", "table", "--id", "7"], env=env, stdout=write, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write)
+        os.close(read)  # before the child has computed table 7
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (0, b"")

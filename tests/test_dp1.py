@@ -8,11 +8,10 @@ from delpezzo.dp1 import (
     DP1Surface,
     NonSquarefreeDiscriminant,
     NotTypeA2Squared,
+    _euler_verdict,
     a22_element,
-    bertini_twist_trace_identity,
     classify_fibers,
     discriminant,
-    euler_heuristic,
     find_star_configurations,
     star_basis,
     table8_certify,
@@ -68,7 +67,6 @@ def test_rotation_invariant_family_is_singular():
     """f4 = a (x^2+y^2)^2, f6 = b (x^2+y^2)^3 has discriminant
     (27 b^2 + 4 a^3)(x^2+y^2)^6: never squarefree."""
     s = DP1Surface(_bf([1, 0, 2, 0, 1]), _bf([1, 0, 3, 0, 3, 0, 1]))
-    assert not s.is_smooth_proxy()
     with pytest.raises(NonSquarefreeDiscriminant):
         classify_fibers(s)
 
@@ -156,19 +154,17 @@ def test_fiber_at_infinity():
 def test_euler_heuristic_no_real_roots():
     # 4 f4^3 dominates: strictly positive discriminant has no real roots
     s = DP1Surface(_bf([1, 0, 1, 0, 1]), _bf([0, 0, 1, 0, 0, 0, 0]))
-    if not s.is_smooth_proxy():
-        pytest.skip("fixture not squarefree")
-    euler, verdict = euler_heuristic(s)
+    euler, verdict = _euler_verdict(classify_fibers(s))
     assert euler == 0 and verdict == "inconclusive"
 
 
 def test_euler_heuristic_rational_fixture():
     s = DP1Surface(_bf([-2, 0, -2, 0, -2]), _bf([-1, 0, -2, 0, -2, 0, 2]))
-    euler, verdict = euler_heuristic(s)
+    euler, verdict = _euler_verdict(classify_fibers(s))
     assert euler < 0 and verdict == "rational"
     # negating f6 swaps the node kinds, flipping the sign of the count
     s_neg = DP1Surface(_bf([-2, 0, -2, 0, -2]), _bf([1, 0, 2, 0, 2, 0, -2]))
-    euler_neg, verdict_neg = euler_heuristic(s_neg)
+    euler_neg, verdict_neg = _euler_verdict(classify_fibers(s_neg))
     assert euler_neg == -euler and verdict_neg == "inconclusive"
 
 
@@ -202,7 +198,7 @@ def test_table8_rows():
 def test_euler_sum_matches_fiber_list():
     s = DP1Surface(_bf([-2, 0, -2, 0, -2]), _bf([-1, 0, -2, 0, -2, 0, 2]))
     reports = classify_fibers(s)
-    euler, _ = euler_heuristic(s)
+    euler, _ = _euler_verdict(reports)
     assert euler == sum({"acnode": 1, "crunode": -1, "cusp": 0}[r.kind] for r in reports)
 
 
@@ -241,11 +237,15 @@ def test_bertini_twist_trace_relation():
     rng = random.Random(55)
     from delpezzo.picard import enumerate_roots
 
+    def twist_trace_identity(sigma):
+        # tr of (Bertini o sigma) on K-perp equals minus the trace of sigma
+        return (minus_on_kperp(lat) * sigma).trace() - 1 == -(sigma.trace() - 1)
+
     roots = enumerate_roots(lat)
-    assert bertini_twist_trace_identity(lat, identity(lat))
+    assert twist_trace_identity(identity(lat))
     for _ in range(5):
         s = rng.choice(roots)
-        assert bertini_twist_trace_identity(lat, reflection(lat, s))
+        assert twist_trace_identity(reflection(lat, s))
 
 
 def test_sturm_helpers():

@@ -1,28 +1,20 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 
-import delpezzo
 from delpezzo.exactnum import (
     CycloNum,
     _echelon,
     _power_table,
     _solve,
-    NonRealInput,
     ParseError,
     conj,
     cyclo_make,
     cyclotomic_poly,
     euler_phi,
-    float_value,
     parse_scalar,
-    real_sign,
 )
 
 
@@ -78,30 +70,6 @@ def test_ring_axioms_randomized():
                 assert (a + b) * c == a * c + b * c
 
 
-def test_real_sign():
-    assert real_sign(CycloNum.rational(0)) == 0
-    assert real_sign(CycloNum.rational(Fraction(-3, 2))) == -1
-    sqrt2 = cyclo_make(8, 1) + cyclo_make(8, 7)
-    assert real_sign(sqrt2) == 1
-    assert real_sign(-sqrt2) == -1
-    with pytest.raises(NonRealInput):
-        real_sign(cyclo_make(4, 1))
-
-
-def test_real_sign_agrees_with_floats():
-    rng = random.Random(3)
-    for n in (5, 8, 12):
-        phi = euler_phi(n)
-        for _ in range(15):
-            x = CycloNum(n, [Fraction(rng.randint(-3, 3)) for _ in range(phi)])
-            x = x + conj(x)  # force a real element
-            if x.is_zero():
-                continue
-            fsign = 1 if float_value(x).real > 0 else -1
-            assert abs(float_value(x).imag) < 1e-9
-            assert real_sign(x) == fsign
-
-
 def test_embedding_compatibility():
     rng = random.Random(5)
     for _ in range(10):
@@ -142,84 +110,6 @@ def test_parser():
         parse_scalar("z")
     with pytest.raises(ParseError):
         parse_scalar("1 +")
-
-
-# ---------------------------------------------------------------------------
-# oracle: real_sign against interval evaluation of sum num_k cos(2 pi k/n) at
-# doubling precision (mpmath, a test dependency only)
-
-
-def _interval_sign(x):
-    """Sign of a nonzero irrational real x by mpmath interval arithmetic."""
-    import mpmath
-
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        prec = 64
-        while True:
-            iv.prec = prec
-            two_pi = 2 * iv.pi
-            total = iv.mpf(0)  # the value times den > 0, which has its sign
-            for k, c in enumerate(x.num):
-                if c:
-                    total += iv.mpf(c) * iv.cos(two_pi * k / x.n)
-            if total.a > 0:
-                return 1
-            if total.b < 0:
-                return -1
-            prec *= 2
-            if prec > 1 << 16:
-                raise ArithmeticError("interval refinement failed to separate from zero")
-    finally:
-        iv.prec = saved
-
-
-def test_real_sign_matches_interval_oracle():
-    rng = random.Random(12)
-    checked = 0
-    for n in (5, 7, 8, 9, 10, 12, 15, 20, 24, 28, 36, 44, 60, 120):
-        phi = euler_phi(n)
-        for trial in range(8):
-            y = CycloNum(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(phi)])
-            x = y + conj(y)
-            if trial % 2:  # a rational shift moves the value across zero
-                x = x + Fraction(rng.randint(-20, 20), rng.randint(1, 3))
-            if x.is_rational():
-                continue
-            assert real_sign(x) == _interval_sign(x)
-            assert real_sign(-x) == -real_sign(x)
-            checked += 1
-    assert checked >= 100
-
-
-def test_real_sign_near_zero():
-    from delpezzo.explicitlines import golden_ratio
-
-    sqrt2 = cyclo_make(8, 1) + cyclo_make(8, 7)
-    phi = golden_ratio()
-    cases = [
-        (sqrt2 - Fraction(141421356237, 10**11), 1),
-        (sqrt2 - Fraction(141421356238, 10**11), -1),
-        (phi - Fraction(16180339887, 10**10), 1),
-        (phi - Fraction(16180339888, 10**10), -1),
-    ]
-    for x, sign in cases:
-        assert real_sign(x) == sign == _interval_sign(x)
-
-
-def test_real_sign_needs_no_mpmath():
-    child = (
-        "import sys\n"
-        "sys.modules['mpmath'] = None  # any import of mpmath now fails\n"
-        "from delpezzo.exactnum import cyclo_make, real_sign\n"
-        "print(real_sign(cyclo_make(8, 1) + cyclo_make(8, 7)))\n"
-    )
-    src = str(Path(delpezzo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1"]
 
 
 # ---------------------------------------------------------------------------

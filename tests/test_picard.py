@@ -12,7 +12,6 @@ from delpezzo.picard import (
     enumerate_exceptional,
     enumerate_roots,
     incidence_matrix,
-    intersection,
     tritangent_trios,
 )
 from delpezzo.weyl import reflection
@@ -56,7 +55,6 @@ def test_intersection_examples():
     e1 = lat.basis[1]
     assert lat.intersection(e1, e1) == -1
     assert lat.intersection(lat.basis[0], e1) == 0
-    assert intersection(lat, k, k) == 3
     with pytest.raises(DimensionMismatch):
         lat.intersection(k, LatticeClass((1, 0)))
 

@@ -30,6 +30,7 @@ def test_the_corpus_holds_every_request_of_its_recorder():
 @pytest.mark.parametrize("entry", CORPUS, ids=[e["name"] for e in CORPUS])
 def test_report_matches_the_recorded_digest(capsys, monkeypatch, entry):
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    monkeypatch.chdir(ROOT)  # file arguments are paths from the repository root
     code = main(list(entry["argv"]))
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (entry["exit"], entry["digest"])

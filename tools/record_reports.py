@@ -29,6 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "tests" / "report_digests.json"
+# a JSON argument given as a file, relative to the repository root, where
+# requests are replayed
+GENERATORS_FILE = "tests/generators_d6.json"
 sys.path.insert(0, str(ROOT / "src"))
 
 
@@ -42,6 +45,17 @@ def _simple_reflections(degree: int) -> str:
 
     lat = PicardLattice(degree)
     return _matrices(reflection(lat, s) for s in simple_roots(lat))
+
+
+def _a22_conjugate() -> str:
+    """The reference A_2^2 element of dp1 star conjugated by the reflection in e_3 - e_4."""
+    from delpezzo.dp1 import a22_element
+    from delpezzo.picard import LatticeClass, PicardLattice
+    from delpezzo.weyl import reflection
+
+    lat = PicardLattice(1)
+    r = reflection(lat, LatticeClass((0, 0, 0, 1, -1, 0, 0, 0, 0)))
+    return json.dumps([list(row) for row in (r * a22_element(lat) * r).matrix])
 
 
 def _eye(n: int, corner=1) -> list[list]:
@@ -102,6 +116,7 @@ def _minimal_requests() -> list[tuple[str, list[str]]]:
         ("minimal-sigma-order-6", minimal(6, _matrices([rotation]), "--sigma", "0")),
         ("minimal-generators-not-a-list", minimal(3, "5")),
         ("minimal-no-such-file", minimal(3, "nosuchfile")),
+        ("minimal-generators-file", minimal(6, GENERATORS_FILE)),
         ("minimal-entry-not-a-matrix", minimal(6, "[5]")),
         ("minimal-wrong-size", minimal(6, json.dumps([_eye(3)]))),
         ("minimal-ragged-rows", minimal(6, json.dumps([[[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]))),
@@ -191,7 +206,8 @@ def _malformed_requests() -> list[tuple[str, list[str]]]:
     return out
 
 
-# (name, f4, f6): one surface per branch of dp1.classify_fibers
+# (name, f4, f6): one surface per branch of dp1.classify_fibers and of the
+# root isolation behind it
 FIBER_CASES = [
     ("finite-acnodes", "0,2,-1,1,-2", "-1,-2,0,0,2,-1,0"),
     ("finite-crunodes", "0,-2,0,-1,-2", "1,-1,0,0,-1,2,2"),
@@ -207,6 +223,27 @@ FIBER_CASES = [
     ("multiple-root-at-infinity", "-12,0,-2,-2,1", "-16,0,0,1,-2,1,-1"),
     ("zero-discriminant", "0,0,0,0,0", "0,0,0,0,0,0,0"),
     ("wrong-coefficient-count", "1,0,0,0", "1,0,0,0,0,0,1"),
+    ("only-cusps", "0,0,0,0,0", "1,0,0,0,0,0,-1"),
+    ("root-at-a-bisection-point", "-3,3,1,3,-3", "2,1,1,0,2,0,-2"),
+]
+
+# (name, f4, f6): one request per branch of the scalar-literal grammar, each
+# on the surface of the dp1-rationality entry or refused with one error line
+LITERAL_CASES = [
+    ("fraction", "-4/2,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
+    ("negative-exponent", "-2,0,-2,0,-2", "z4^-2,0,-2,0,-2,0,2"),
+    ("binary-plus", "-3+1,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
+    ("binary-minus", "-1-1,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
+    ("binary-times", "-1*2,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
+    ("parentheses", "(-2),0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
+    ("unary-plus", "-2,0,-2,0,-2", "-1,0,-2,0,-2,0,+2"),
+    ("not-rational-z3", "z3,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
+    ("conductor-0", "z0,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
+    *[
+        (f"error-{name}", f"{text},0,-2,0,-2", "-1,0,-2,0,-2,0,2")
+        for name, text in (("slash", "1/"), ("bare-z", "z"), ("caret", "z3^"), ("character", "1@"),
+                           ("open-paren", "(1"), ("trailing-plus", "1+"), ("close-paren", ")"), ("two-numbers", "1 2"))
+    ],
 ]
 
 HELP = [
@@ -220,6 +257,10 @@ def requests() -> list[tuple[str, list[str]]]:
     """(name, argv) for every request of the corpus."""
     e6_root = "[[0,1,-1,0,0,0,0]]"
     rank = json.dumps([{"sign": [0, 0, 0, 0, 0], "perm": [1, 2, 3, 4, 5]}, {"sign": [1, 0, 1, 1, 1], "perm": [1, 2, 3, 4, 5]}])
+
+    def rank_el(*sign):
+        return {"sign": list(sign), "perm": [1, 2, 3, 4, 5]}
+
     star = json.dumps([[float(i == j) for j in range(9)] for i in range(9)])
     out = [
         ("help", ["-h"]),
@@ -255,6 +296,7 @@ def requests() -> list[tuple[str, list[str]]]:
         ("classify-d3", ["classify-involution", "--degree", "3", "--roots", e6_root]),
         ("classify-d2", ["classify-involution", "--degree", "2", "--roots", "[[0,1,-1,0,0,0,0,0],[0,0,0,1,-1,0,0,0],[0,0,0,0,0,1,-1,0]]"]),
         ("classify-d1", ["classify-involution", "--degree", "1", "--roots", "[[0,1,-1,0,0,0,0,0,0],[1,-1,-1,-1,0,0,0,0,0]]"]),
+        ("classify-d5-unnamed", ["classify-involution", "--degree", "5", "--roots", "[[0,1,-1,0,0]]"]),
         ("classify-no-roots", ["classify-involution", "--degree", "3", "--roots", "[]"]),
         ("classify-not-a-root", ["classify-involution", "--degree", "3", "--roots", "[[0,1,0,0,0,0,0]]"]),
         ("classify-roots-not-a-list", ["classify-involution", "--degree", "3", "--roots", "7"]),
@@ -273,8 +315,15 @@ def requests() -> list[tuple[str, list[str]]]:
         ("dp4-q31-0-2-minimal", ["dp4", "--form", "q31-0-2", "--enumerate-minimal"]),
         ("dp4-p2-1-2-minimal", ["dp4", "--form", "p2-1-2", "--enumerate-minimal"]),
         ("dp4-split-minimal", ["dp4", "--form", "split", "--enumerate-minimal"]),
+        ("dp4-unknown-form", ["dp4", "--form", "nosuch", "--enumerate-minimal"]),
         ("dp4-no-form", ["dp4", "--enumerate-minimal"]),
         ("dp4-no-request", ["dp4", "--form", "q31-0-2"]),
+        ("dp4-rank-elements-no-identity", ["dp4", "--form", "q31-0-2", "--rank-elements", json.dumps([rank_el(1, 1, 0, 0, 0)])]),
+        ("dp4-rank-elements-not-closed", ["dp4", "--form", "q31-0-2", "--rank-elements",
+                                          json.dumps([rank_el(0, 0, 0, 0, 0), rank_el(1, 1, 0, 0, 0), rank_el(0, 1, 1, 0, 0)])]),
+        ("dp4-characteristic-empty", ["dp4", "--characteristic", "[]"]),
+        ("dp4-characteristic-zero-pair", ["dp4", "--characteristic", "[[1,0],[0,0]]"]),
+        ("dp4-characteristic-coincident", ["dp4", "--characteristic", "[[1,0],[2,0]]"]),
         ("dp4-element-without-perm", ["dp4", "--form", "q31-0-2", "--rank-elements", '[{"sign": [0, 0, 0, 0, 0]}]']),
         ("cubic-fermat-id-lines", ["cubic", "--model", "fermat", "--twist", "id", "--count-real-lines"]),
         *[
@@ -290,15 +339,21 @@ def requests() -> list[tuple[str, list[str]]]:
         ("dp2-example-bad-sign",["dp2-example", "--w-sign", "2"]),
         ("invariants-d8-6", ["invariants", "--group", "d8", "--degree", "6"]),
         ("invariants-z3-4", ["invariants", "--group", "z3", "--degree", "4"]),
+        ("invariants-negative-degree", ["invariants", "--group", "z3", "--degree", "-1"]),
+        ("invariants-unknown-group", ["invariants", "--group", "q3", "--degree", "2"]),
         ("invariants-z0", ["invariants", "--group", "z0", "--degree", "2"]),
         ("invariants-d0", ["invariants", "--group", "d0", "--degree", "2"]),
         ("dp1-rationality", ["dp1", "rationality", "--f4=-2,0,-2,0,-2", "--f6=-1,0,-2,0,-2,0,2"]),
         ("dp1-rationality-not-rational", ["dp1", "rationality", "--f4=z4^1,0,0,0,0", "--f6=1,0,0,0,0,0,1"]),
         *[(f"dp1-rationality-{name}", ["dp1", "rationality", f"--f4={f4}", f"--f6={f6}"]) for name, f4, f6 in FIBER_CASES],
+        *[(f"dp1-literal-{name}", ["dp1", "rationality", f"--f4={f4}", f"--f6={f6}"]) for name, f4, f6 in LITERAL_CASES],
         ("dp1-star-reference", ["dp1", "star", "--reference"]),
         ("dp1-star-default", ["dp1", "star"]),
         ("dp1-star-float-generator", ["dp1", "star", "--generator", star]),
         ("dp1-star-not-a22", ["dp1", "star", "--generator", json.dumps(_eye(9))]),
+        # every element with the A_2^2 fingerprint is conjugate to the reference
+        # one in W(E8), so the later NotTypeA2Squared checks pass on this one too
+        ("dp1-star-conjugate", ["dp1", "star", "--generator", _a22_conjugate()]),
         ("dp1-no-leaf", ["dp1"]),
         *[(f"table-{n}", ["table", "--id", str(n)]) for n in range(1, 8)],
         ("table-0", ["table", "--id", "0"]),
@@ -314,17 +369,21 @@ def requests() -> list[tuple[str, list[str]]]:
 def replay(argv: list[str]) -> tuple[int, str]:
     """Exit code and stdout digest of one in-process request.
 
-    Help text is wrapped at the terminal width, so COLUMNS is pinned.
+    Help text is wrapped at the terminal width, so COLUMNS is pinned, and
+    file arguments are read from the repository root.
     """
     from delpezzo import cli
 
     old = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
+    cwd = os.getcwd()
+    os.chdir(ROOT)
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(list(argv))
     finally:
+        os.chdir(cwd)
         if old is None:
             del os.environ["COLUMNS"]
         else:
