@@ -24,6 +24,7 @@ their matrices do, and sigma's matrix times el's is M(sigma * el).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,7 +214,7 @@ def dp4_invariant_rank(subgroup, form: DP4RealForm):
     for g in elems:
         for h in elems:
             if g * h not in eset:
-                raise NotAGroup(f"set is not closed: {g} * {h} missing")
+                raise NotAGroup(f"set is not closed: {json.dumps(g.to_json())} * {json.dumps(h.to_json())} missing")
     total = 0
     for g in elems:
         for m in (dp4_matrix(g, form), dp4_matrix(g, form, with_sigma=True)):

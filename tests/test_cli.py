@@ -112,6 +112,18 @@ def test_dp4_rank_elements(capsys):
     assert data["results"]["strongly_minimal"] is True
 
 
+def test_dp4_rank_elements_not_closed_names_the_elements_as_the_cli_reads_them(capsys):
+    # g has order 4, so {1, g} lacks g * g; perm [1, 3, 2, 5, 4] is 0-based (0, 2, 1, 4, 3)
+    g = {"sign": [1, 0, 1, 1, 1], "perm": [1, 3, 2, 5, 4]}
+    payload = json.dumps([{"sign": [0, 0, 0, 0, 0], "perm": [1, 2, 3, 4, 5]}, g])
+    code, out = _run(capsys, "dp4", "--form", "q31-0-2", "--rank-elements", payload)
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    factors = error.removeprefix("set is not closed: ").removesuffix(" missing").split(" * ")
+    assert [json.loads(f) for f in factors] == [g, g]
+
+
 def test_table_driver(capsys):
     code, out = _run(capsys, "table", "--id", "5")
     assert code == 0
@@ -186,8 +198,10 @@ def _e6_simple_reflections() -> str:
         ["dp4", "--form", "q31-0-2", "--rank-elements", '[{"sign": [0, 0, 0, 0, 0]}]'],
         ["invariants", "--group", "z0", "--degree", "2"],
         ["invariants", "--group", "d0", "--degree", "2"],
+        ["dp1", "rationality", "--f4=1/0,0,0,0,1", "--f6=1,0,0,0,0,0,1"],
     ],
-    ids=["cap", "generators-not-a-list", "roots-not-a-list", "no-such-file", "element-without-perm", "z0", "d0"],
+    ids=["cap", "generators-not-a-list", "roots-not-a-list", "no-such-file", "element-without-perm", "z0", "d0",
+         "zero-denominator"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     code, out = _run(capsys, *argv)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -116,7 +116,9 @@ def test_parser():
 # oracle: CycloNum against a slow Fraction implementation of Q(zeta_n), the
 # schoolbook product reduced through the table of powers of zeta_n
 
-ORACLE_CONDUCTORS = (1, 3, 4, 5, 8, 12, 20, 28, 36, 44, 120)
+ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 8, 12, 20, 28, 36, 44, 120)
+# operand conductors whose products and sums live at their lcm
+MIXED_CONDUCTORS = ((4, 6), (5, 8), (3, 20), (1, 44))
 
 
 def _ref_combine(terms, n):
@@ -124,8 +126,9 @@ def _ref_combine(terms, n):
     table = _power_table(n)
     out = [Fraction(0)] * euler_phi(n)
     for c, k in terms:
-        for j, t in enumerate(table[k % n]):
-            out[j] += c * t
+        if c:
+            for j, t in enumerate(table[k % n]):
+                out[j] += c * t
     return out
 
 
@@ -151,6 +154,27 @@ def _random_value(rng, n):
     elif kind == 2:
         coeffs = [coeffs[0]] + [Fraction(0)] * (phi - 1)
     return CycloNum(n, coeffs)
+
+
+def _zero_constant_values(rng, n):
+    """Zero, and c * zeta_n^k for k = 1 and k = phi(n) - 1: values with constant term 0."""
+    phi = euler_phi(n)
+    values = [CycloNum(n, [0] * phi)]
+    for k in sorted({1, phi - 1} & set(range(1, phi))):
+        coeffs = [Fraction(0)] * phi
+        coeffs[k] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+        values.append(CycloNum(n, coeffs))
+    return values
+
+
+def _check_pair(a, b):
+    """a * b, b * a, a + b and b + a against the oracle, both embedded into the lcm."""
+    m = lcm(a.n, b.n)
+    x, y = _ref_embed(a.n, a.coeffs, m), _ref_embed(b.n, b.coeffs, m)
+    want_prod, want_sum = _ref_mul(m, x, y), [u + v for u, v in zip(x, y)]
+    for got, want in ((a * b, want_prod), (b * a, want_prod), (a + b, want_sum), (b + a, want_sum)):
+        assert got.n == m and list(got.coeffs) == want
+        _assert_canonical(got)
 
 
 def _assert_canonical(x):
@@ -183,6 +207,23 @@ def test_arithmetic_matches_fraction_oracle():
                 inv = a.inverse()
                 _assert_canonical(inv)
                 assert _ref_mul(n, a.coeffs, inv.coeffs) == _ref_combine([(Fraction(1), 0)], n)
+    # zero and monomials with constant term 0 against each other and against
+    # a rational and a random value, and int and Fraction operands on either side
+    for n in ORACLE_CONDUCTORS:
+        values = _zero_constant_values(rng, n) + [CycloNum.rational(Fraction(-5, 3), n), _random_value(rng, n)]
+        for i, a in enumerate(values):
+            for b in values[i:]:
+                _check_pair(a, b)
+            for r in (0, 1, -1, 3, Fraction(-2, 3)):
+                scaled = [r * c for c in a.coeffs]
+                shifted = [a.coeffs[0] + r, *a.coeffs[1:]]
+                for got, want in ((a * r, scaled), (r * a, scaled), (a + r, shifted), (r + a, shifted)):
+                    assert got.n == n and list(got.coeffs) == want
+                    _assert_canonical(got)
+    for n1, n2 in MIXED_CONDUCTORS:
+        for a in _zero_constant_values(rng, n1) + [_random_value(rng, n1)]:
+            for b in _zero_constant_values(rng, n2) + [_random_value(rng, n2)]:
+                _check_pair(a, b)
 
 
 def test_hash_is_canonical_across_embeddings():

@@ -242,7 +242,8 @@ LITERAL_CASES = [
     *[
         (f"error-{name}", f"{text},0,-2,0,-2", "-1,0,-2,0,-2,0,2")
         for name, text in (("slash", "1/"), ("bare-z", "z"), ("caret", "z3^"), ("character", "1@"),
-                           ("open-paren", "(1"), ("trailing-plus", "1+"), ("close-paren", ")"), ("two-numbers", "1 2"))
+                           ("open-paren", "(1"), ("trailing-plus", "1+"), ("close-paren", ")"), ("two-numbers", "1 2"),
+                           ("zero-denominator", "1/0"), ("zero-denominator-00", "3/00"))
     ],
 ]
 
