@@ -206,21 +206,12 @@ class CycloNum:
         m = lcm(self.n, other.n)
         return self.embed(m), other.embed(m)
 
-    # __add__ and __mul__ match conductors as _unify does, inline: they are
-    # the hot path of every CycloNum computation
     def __add__(self, other):
-        if not isinstance(other, CycloNum):
-            other = _coerce(other)
-        n = self.n
-        if other.n == n:
-            a, b = self, other
-        else:
-            n = lcm(n, other.n)
-            a, b = self.embed(n), other.embed(n)
+        a, b = self._unify(other)
         da, db = a.den, b.den
         if da == db:
-            return _new(n, list(map(_add, a.num, b.num)), da)
-        return _new(n, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
+            return _new(a.n, list(map(_add, a.num, b.num)), da)
+        return _new(a.n, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
 
     __radd__ = __add__
 
@@ -234,17 +225,12 @@ class CycloNum:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, CycloNum):
-            other = _coerce(other)
-        n = self.n
-        if other.n == n:
-            a, b = self, other
-        else:
-            n = lcm(n, other.n)
-            a, b = self.embed(n), other.embed(n)
+        a, b = self._unify(other)
+        n = a.n
         # read on every product, scalings too: a request's first product at n
         # may build _power_table(n), and the traced euler_phi and
-        # cyclotomic_poly counts in perfbench/digests.json depend on where
+        # cyclotomic_poly counts in perfbench/digests.json depend on which
+        # call builds it
         tail = _tail(n)
         x, y = a.num, b.num
         # a factor is rational when its phi - 1 entries after the first are 0
@@ -254,10 +240,6 @@ class CycloNum:
         elif x.count(0) - (not x[0]) != rest:
             return _new(n, _dense_product(x, y, tail), a.den * b.den)
         c = x[0]  # the rational factor scales the other
-        if not c:
-            return _new(n, (0,) * len(y), 1)
-        if c == 1:
-            return _new(n, y, a.den * b.den)
         return _new(n, [c * d for d in y], a.den * b.den)
 
     __rmul__ = __mul__
@@ -320,7 +302,6 @@ class CycloNum:
         return " + ".join(terms) if terms else "0"
 
 
-_alloc = object.__new__
 _set_n, _set_num, _set_den = (CycloNum.__dict__[s].__set__ for s in CycloNum.__slots__)
 
 
@@ -334,7 +315,7 @@ def _new(n: int, num, den: int) -> CycloNum:
         if g != 1:
             num = [c // g for c in num]
             den //= g
-    x = _alloc(CycloNum)
+    x = object.__new__(CycloNum)
     _set_n(x, n)
     _set_num(x, tuple(num))
     _set_den(x, den)
