@@ -240,6 +240,11 @@ class CycloNum:
         elif x.count(0) - (not x[0]) != rest:
             return _new(n, _dense_product(x, y, tail), a.den * b.den)
         c = x[0]  # the rational factor scales the other
+        # most scalings are by 0 or 1; these skip building and reducing a list
+        if not c:
+            return _new(n, (0,) * len(y), 1)
+        if c == 1:
+            return _new(n, y, a.den * b.den)
         return _new(n, [c * d for d in y], a.den * b.den)
 
     __rmul__ = __mul__
