@@ -139,7 +139,7 @@ def cmd_classify_involution(args):
 
 
 def cmd_minimal(args):
-    from .minimality import ActionContext, find_contractible_set, invariant_rank, is_strongly_minimal
+    from .minimality import find_contractible_set, invariant_rank
     from .picard import PicardLattice
     from .weyl import Isometry, close_group
 
@@ -148,14 +148,15 @@ def cmd_minimal(args):
     gens = [Isometry(lat, m) for m in mats]
     if args.sigma is not None and not 0 <= args.sigma < len(gens):
         raise UsageError(f"--sigma must index one of the {len(gens)} generators, got {args.sigma}")
-    sigma = gens[args.sigma] if args.sigma is not None else None
-    group = close_group(lat, gens, cap=args.cap)
-    ctx = ActionContext(lat, group, sigma=sigma)
-    cset = find_contractible_set(ctx)
+    group = close_group(lat, gens)
+    if args.sigma is not None and not (gens[args.sigma] * gens[args.sigma]).is_identity():
+        raise UsageError("sigma must have order at most 2")
+    rank = invariant_rank(group)
+    cset = find_contractible_set(group)
     results = {
         "group_order": group.order,
-        "rank": invariant_rank(ctx),
-        "strongly_minimal": is_strongly_minimal(ctx),
+        "rank": rank,
+        "strongly_minimal": rank == 1,
         "contractible_set": None if cset is None else [list(c.coords) for c in cset],
     }
     return _report(
@@ -422,7 +423,6 @@ _SUBCOMMANDS = {
         _DEGREE,
         ("--generators", {"required": True, "help": "JSON list of integer matrices (or a file)"}),
         ("--sigma", {"type": int, "help": "index of the real structure among the generators"}),
-        ("--cap", {"type": int, "default": 100000}),
     ]),
     "graph": ("colored incidence graph (degrees 5 and 6)", [
         ("--degree", {"type": int, "choices": (5, 6), "required": True}),
@@ -512,7 +512,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         out = args.func(args)
-    except ValueError as exc:  # UsageError, UnsupportedDegree, ParseError and CapExceeded included
+    except ValueError as exc:  # UsageError, UnsupportedDegree and ParseError included
         return _emit(json.dumps({"error": str(exc)}, sort_keys=True), 2)
     if isinstance(out, str):  # DOT
         return _emit(out, 0)

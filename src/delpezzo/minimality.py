@@ -9,51 +9,27 @@ pairwise-disjoint exceptional classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .colorgraph import _orbits
 from .exactnum import _echelon
-from .picard import LatticeClass, PicardLattice, enumerate_exceptional
+from .picard import LatticeClass, enumerate_exceptional
 from .weyl import Isometry, IsometryGroup
 
 
-@dataclass(frozen=True)
-class ActionContext:
-    """A finite group of lattice isometries, optionally with a marked real
-    structure sigma (an order <= 2 member of the group)."""
-
-    lattice: PicardLattice
-    group: IsometryGroup
-    sigma: Isometry | None = None
-
-    def __post_init__(self):
-        if self.group.lattice != self.lattice:
-            raise ValueError("group lives on a different lattice")
-        if self.sigma is not None:
-            if not (self.sigma * self.sigma).is_identity():
-                raise ValueError("sigma must have order at most 2")
-            if self.sigma not in self.group:
-                raise ValueError("sigma must be a member of the group")
-
-
-def invariant_rank(ctx: ActionContext) -> int:
+def invariant_rank(group: IsometryGroup) -> int:
     """Rank of the common fixed space: the lattice rank minus the rank of the
     generators' stacked (M - I).  A group and any generating set of it fix
     the same vectors."""
     rows = [
         [x - (i == j) for j, x in enumerate(row)]
-        for g in ctx.group.generators
+        for g in group.generators
         for i, row in enumerate(g.matrix)
     ]
-    return ctx.lattice.rank - len(_echelon(rows)[1])
+    return group.lattice.rank - len(_echelon(rows)[1])
 
 
-def is_strongly_minimal(ctx: ActionContext) -> bool:
-    return invariant_rank(ctx) == 1
-
-
-def find_contractible_set(ctx: ActionContext) -> list[LatticeClass] | None:
+def find_contractible_set(group: IsometryGroup) -> list[LatticeClass] | None:
     """A nonempty invariant set of pairwise-disjoint exceptional classes.
 
     Invariant sets are unions of orbits, and a union is pairwise disjoint
@@ -61,11 +37,11 @@ def find_contractible_set(ctx: ActionContext) -> list[LatticeClass] | None:
     Returns the smallest qualifying orbit (lexicographic tie-break),
     or None: absence certifies minimality for del Pezzo actions.
     """
-    lat = ctx.lattice
+    lat = group.lattice
     lines = enumerate_exceptional(lat)
     candidates = [
         orbit
-        for orbit in _orbits(ctx.group.permutations, len(lines))
+        for orbit in _orbits(group.permutations, len(lines))
         if all(lat.intersection(lines[a], lines[b]) == 0 for a, b in combinations(orbit, 2))
     ]
     if not candidates:

@@ -89,7 +89,7 @@ HEXAGON_FORMS = {
 
 def _table_2(partial):
     from .confgraphs import build_graph, hexagon_minimal_subgroups, hexagon_sigma_isometry
-    from .minimality import ActionContext, invariant_rank
+    from .minimality import invariant_rank
     from .picard import PicardLattice
     from .weyl import close_group
 
@@ -98,7 +98,7 @@ def _table_2(partial):
     for pattern, row in HEXAGON_FORMS.items():
         sigma = hexagon_sigma_isometry(lat, pattern)
         reals = sum(1 for f in build_graph(lat, sigma).real_flags if f)
-        rank = invariant_rank(ActionContext(lat, close_group(lat, [sigma], cap=10), sigma=sigma))
+        rank = invariant_rank(close_group(lat, [sigma]))
         results[pattern] = {"form": row["form"], "real_lines": reals, "invariant_rank": rank}
         checks.append(_check(f"{pattern}_real_lines", row["real_lines"], reals, row["source"]))
         checks.append(_check(f"{pattern}_invariant_rank", row["invariant_rank"], rank, row["source"]))

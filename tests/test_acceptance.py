@@ -42,11 +42,7 @@ from delpezzo.explicitlines import (
     incidence_graph,
 )
 from delpezzo.invforms import BinaryForm, group_from_label, in_span, invariant_subspace, realpart_power
-from delpezzo.minimality import (
-    ActionContext,
-    invariant_rank,
-    lefschetz_euler,
-)
+from delpezzo.minimality import invariant_rank, lefschetz_euler
 from delpezzo.picard import PicardLattice, enumerate_exceptional, enumerate_roots, incidence_matrix
 from delpezzo.weyl import (
     close_group,
@@ -101,9 +97,8 @@ def test_criterion_03_rank_oracle_equivalence():
             for _ in range(50):
                 n_gens = 2 if degree <= 4 else rng.choice((2, 3))
                 gens = [reflection(lat, rng.choice(roots)) for _ in range(n_gens)]
-                group = close_group(lat, gens, cap=10000)
-                ctx = ActionContext(lat, group)
-                assert invariant_rank(ctx) == trace_average_rank(_reference_close_group(lat, gens, 10000))
+                group = close_group(lat, gens)
+                assert invariant_rank(group) == trace_average_rank(_reference_close_group(lat, gens, 10000))
                 count += 1
         assert count == 200
 

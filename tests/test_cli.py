@@ -180,18 +180,9 @@ def test_non_integer_matrix_entries_exit_2(capsys):
     assert "integers" in json.loads(out)["error"]
 
 
-def _e6_simple_reflections() -> str:
-    from delpezzo.picard import PicardLattice
-    from delpezzo.weyl import reflection, simple_roots
-
-    lat = PicardLattice(3)
-    return json.dumps([[list(row) for row in reflection(lat, s).matrix] for s in simple_roots(lat)])
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["minimal", "--degree", "3", "--generators", _e6_simple_reflections(), "--cap", "100"],
         ["minimal", "--degree", "3", "--generators", "5"],
         ["classify-involution", "--degree", "3", "--roots", "7"],
         ["minimal", "--degree", "3", "--generators", "nosuchfile"],
@@ -200,7 +191,7 @@ def _e6_simple_reflections() -> str:
         ["invariants", "--group", "d0", "--degree", "2"],
         ["dp1", "rationality", "--f4=1/0,0,0,0,1", "--f6=1,0,0,0,0,0,1"],
     ],
-    ids=["cap", "generators-not-a-list", "roots-not-a-list", "no-such-file", "element-without-perm", "z0", "d0",
+    ids=["generators-not-a-list", "roots-not-a-list", "no-such-file", "element-without-perm", "z0", "d0",
          "zero-denominator"],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -290,18 +281,19 @@ def test_dp1_rationality_classifies_once(capsys, monkeypatch):
         assert results["euler"] == kinds.count("acnode") - kinds.count("crunode") == euler
 
 
-def _peak_mb(body: str) -> float:
-    """VmHWM of a fresh interpreter after it runs body.
+# prints the process's VmHWM in kB.  ru_maxrss would not do: Linux carries
+# the spawning process's high-water mark across vfork/exec, so it reads the
+# size of the test process.
+_PRINT_VMHWM = (
+    "for line in open('/proc/self/status'):\n"
+    "    if line.startswith('VmHWM:'):\n"
+    "        print(int(line.split()[1]))\n"
+)
 
-    ru_maxrss would not do: Linux carries the spawning process's high-water
-    mark across vfork/exec, so it reads the size of the test process.
-    """
-    child = body + (
-        "for line in open('/proc/self/status'):\n"
-        "    if line.startswith('VmHWM:'):\n"
-        "        print(int(line.split()[1]))\n"
-    )
-    return int(_child(child).split()[-1]) / 1024
+
+def _peak_mb(body: str) -> float:
+    """VmHWM of a fresh interpreter after it runs body."""
+    return int(_child(body + _PRINT_VMHWM).split()[-1]) / 1024
 
 
 def _child(body: str) -> str:
@@ -341,6 +333,32 @@ def test_table_7_peak_rss():
     )
     bare = _peak_mb("import delpezzo.cli, delpezzo.weyl, delpezzo._kernels\n")
     assert table - bare < 11, (table, bare)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def test_minimal_closes_w_e8_under_a_cpu_limit():
+    """minimal on the E8 simple reflections and the Bertini involution gives
+    W(E8), of order 696729600, without listing an element: a fresh process
+    that limits its own CPU time to 10 s (RLIMIT_CPU) exits 0 and peaks less
+    than 2 MB above a process that only imports the modules it loads."""
+    from delpezzo.picard import PicardLattice
+    from delpezzo.weyl import minus_on_kperp
+
+    bertini = minus_on_kperp(PicardLattice(1)).matrix
+    gens = json.loads(record_reports._simple_reflections(1)) + [[list(row) for row in bertini]]
+    out = _child(
+        "import contextlib, io, json, resource\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+        "from delpezzo import cli\n"
+        "report = io.StringIO()\n"
+        "with contextlib.redirect_stdout(report):\n"
+        f"    code = cli.main(['minimal', '--degree', '1', '--generators', {json.dumps(gens)!r}])\n"
+        "print(code, json.loads(report.getvalue())['results']['group_order'])\n" + _PRINT_VMHWM
+    ).split()
+    code, order, peak = int(out[0]), int(out[1]), int(out[2]) / 1024
+    bare = _peak_mb("import delpezzo.cli, delpezzo.minimality, delpezzo.weyl\n")
+    assert (code, order) == (0, 696729600)
+    assert peak - bare < 2, (peak, bare)
 
 
 # a valid argv for every subcommand and both dp1 leaves

@@ -15,7 +15,7 @@ from delpezzo.confgraphs import (
     vertex_permutation_isometry,
     _dihedral_subgroups,
 )
-from delpezzo.minimality import ActionContext, find_contractible_set
+from delpezzo.minimality import find_contractible_set
 from delpezzo.picard import PicardLattice, UnsupportedDegree
 from delpezzo.weyl import close_group, identity
 
@@ -135,10 +135,9 @@ def test_scan_agrees_with_lattice_contraction():
         minimal_names = {d["name"] for d in hexagon_minimal_subgroups(pattern)}
         for sub in _dihedral_subgroups():
             gens = [vertex_permutation_isometry(lat, p) for p in sub] + [sigma_iso]
-            group = close_group(lat, gens, cap=200)
-            ctx = ActionContext(lat, group, sigma=sigma_iso)
+            group = close_group(lat, gens)
             want_minimal = subgroup_name(sub) in minimal_names
-            assert (find_contractible_set(ctx) is None) == want_minimal
+            assert (find_contractible_set(group) is None) == want_minimal
 
 
 def test_unsupported_degree():

@@ -112,6 +112,16 @@ def test_parser():
         parse_scalar("1 +")
 
 
+def test_parser_bounds_the_conductor_of_a_literal():
+    """A literal is computed at the lcm of its z<n>, which may be at most
+    1000; z31 and z37 are each below it, their lcm 1147 is not."""
+    assert parse_scalar("z1000^0") == 1
+    assert parse_scalar("z8^4 * z125^0") == -1
+    for text in ("z1001", "2 * z1001^0", "z31 + z37", "z0 + z1001"):
+        with pytest.raises(ParseError, match="exceeds 1000"):
+            parse_scalar(text)
+
+
 # ---------------------------------------------------------------------------
 # oracle: CycloNum against a slow Fraction implementation of Q(zeta_n), the
 # schoolbook product reduced through the table of powers of zeta_n

@@ -3,13 +3,7 @@ import random
 import numpy as np
 
 from delpezzo.confgraphs import hexagon_sigma_isometry, vertex_permutation_isometry
-from delpezzo.minimality import (
-    ActionContext,
-    find_contractible_set,
-    invariant_rank,
-    is_strongly_minimal,
-    lefschetz_euler,
-)
+from delpezzo.minimality import find_contractible_set, invariant_rank, lefschetz_euler
 from delpezzo.picard import PicardLattice, enumerate_roots
 from delpezzo.weyl import (
     Isometry,
@@ -68,27 +62,21 @@ def _std(mat_geo):
 
 def test_trivial_group_rank():
     lat = PicardLattice(4)
-    group = close_group(lat, [], cap=10)
-    ctx = ActionContext(lat, group)
-    assert invariant_rank(ctx) == 6 == trace_average_rank(_reference_close_group(lat, [], 10))
-    assert not is_strongly_minimal(ctx)
+    group = close_group(lat, [])
+    assert invariant_rank(group) == 6 == trace_average_rank(_reference_close_group(lat, [], 10))
 
 
 def test_geiser_rank_one():
     lat = PicardLattice(2)
     geiser = minus_on_kperp(lat)
-    group = close_group(lat, [geiser], cap=10)
-    ctx = ActionContext(lat, group)
-    assert invariant_rank(ctx) == 1 == trace_average_rank(_reference_close_group(lat, [geiser], 10))
-    assert is_strongly_minimal(ctx)
+    group = close_group(lat, [geiser])
+    assert invariant_rank(group) == 1 == trace_average_rank(_reference_close_group(lat, [geiser], 10))
 
 
 def test_bertini_rank_one():
     lat = PicardLattice(1)
-    group = close_group(lat, [minus_on_kperp(lat)], cap=10)
-    ctx = ActionContext(lat, group)
-    assert invariant_rank(ctx) == 1
-    assert is_strongly_minimal(ctx)
+    group = close_group(lat, [minus_on_kperp(lat)])
+    assert invariant_rank(group) == 1
 
 
 def test_published_order4_action_rank_one():
@@ -97,10 +85,9 @@ def test_published_order4_action_rank_one():
     g = Isometry(lat, _std(_G_GEO))
     sigma = Isometry(lat, _std(_SIGMA_GEO))
     assert (sigma * sigma).is_identity()
-    group = close_group(lat, [g, sigma], cap=100)
+    group = close_group(lat, [g, sigma])
     assert group.order == 8
-    ctx = ActionContext(lat, group, sigma=sigma)
-    assert invariant_rank(ctx) == 1 == trace_average_rank(_reference_close_group(lat, [g, sigma], 100))
+    assert invariant_rank(group) == 1 == trace_average_rank(_reference_close_group(lat, [g, sigma], 100))
 
 
 def test_oracle_equivalence_randomized():
@@ -110,9 +97,8 @@ def test_oracle_equivalence_randomized():
         roots = enumerate_roots(lat)
         for _ in range(8):
             gens = [reflection(lat, rng.choice(roots)) for _ in range(2)]
-            group = close_group(lat, gens, cap=5000)
-            ctx = ActionContext(lat, group)
-            assert invariant_rank(ctx) == trace_average_rank(_reference_close_group(lat, gens, 5000))
+            group = close_group(lat, gens)
+            assert invariant_rank(group) == trace_average_rank(_reference_close_group(lat, gens, 5000))
 
 
 def test_rank_monotone_under_enlargement():
@@ -121,27 +107,24 @@ def test_rank_monotone_under_enlargement():
     roots = enumerate_roots(lat)
     for _ in range(6):
         r1, r2 = rng.choice(roots), rng.choice(roots)
-        small = close_group(lat, [reflection(lat, r1)], cap=5000)
-        big = close_group(lat, [reflection(lat, r1), reflection(lat, r2)], cap=5000)
-        rank_small = invariant_rank(ActionContext(lat, small))
-        rank_big = invariant_rank(ActionContext(lat, big))
+        small = close_group(lat, [reflection(lat, r1)])
+        big = close_group(lat, [reflection(lat, r1), reflection(lat, r2)])
+        rank_small = invariant_rank(small)
+        rank_big = invariant_rank(big)
         assert rank_big <= rank_small
 
 
 def test_contractible_sets_on_hexagon():
     lat = PicardLattice(6)
     # trivial group: any single line contracts
-    ctx = ActionContext(lat, close_group(lat, [], cap=10))
-    found = find_contractible_set(ctx)
+    found = find_contractible_set(close_group(lat, []))
     assert found is not None and len(found) == 1
     # full rotation with split structure: minimal
     r = vertex_permutation_isometry(lat, (1, 2, 3, 4, 5, 0))
-    ctx_r = ActionContext(lat, close_group(lat, [r], cap=100))
-    assert find_contractible_set(ctx_r) is None
+    assert find_contractible_set(close_group(lat, [r])) is None
     # the antipodal rotation leaves a disjoint invariant pair
     r3 = vertex_permutation_isometry(lat, (3, 4, 5, 0, 1, 2))
-    ctx_r3 = ActionContext(lat, close_group(lat, [r3], cap=100))
-    found = find_contractible_set(ctx_r3)
+    found = find_contractible_set(close_group(lat, [r3]))
     assert found is not None and len(found) == 2
     assert lat.intersection(found[0], found[1]) == 0
     img = {r3.apply(c).coords for c in found}
@@ -152,10 +135,9 @@ def test_contractible_set_respects_sigma():
     lat = PicardLattice(6)
     sigma = hexagon_sigma_isometry(lat, "fig_a")
     r2 = vertex_permutation_isometry(lat, (2, 3, 4, 5, 0, 1))
-    group = close_group(lat, [r2, sigma], cap=100)
-    ctx = ActionContext(lat, group, sigma=sigma)
+    group = close_group(lat, [r2, sigma])
     # <r^2> with the torus structure is minimal
-    assert find_contractible_set(ctx) is None
+    assert find_contractible_set(group) is None
 
 
 def test_lefschetz_euler():

@@ -12,18 +12,19 @@ from delpezzo.picard import (
     LatticeClass,
     PicardLattice,
     UnsupportedDegree,
+    _exceptional_cached,
     enumerate_exceptional,
     enumerate_roots,
     tritangent_trios,
 )
 from delpezzo.weyl import (
-    CapExceeded,
     Isometry,
     NotAnIsometry,
     NotARoot,
     _charpoly_int,
     _poly_from_factors,
     _positive_roots,
+    _sift,
     classify_named,
     close_group,
     element_order,
@@ -76,31 +77,29 @@ def test_close_group_orders():
     # W(E7) and W(E8), out of reach of a closure that lists the elements
     lat2, lat1 = PicardLattice(2), PicardLattice(1)
     e7 = [reflection(lat2, s) for s in simple_roots(lat2)]
-    assert close_group(lat2, e7, cap=2903040).order == 2903040
-    with pytest.raises(CapExceeded):
-        close_group(lat2, e7, cap=2903039)
+    assert close_group(lat2, e7).order == 2903040
     e8 = [reflection(lat1, s) for s in simple_roots(lat1)]
-    assert close_group(lat1, e8, cap=10**9).order == 696729600
-
-
-def test_cap_exceeded():
-    lat = PicardLattice(4)
-    gens = [reflection(lat, s) for s in simple_roots(lat)]
-    with pytest.raises(CapExceeded) as err:
-        close_group(lat, gens, cap=100)
-    assert (err.value.partial_size, err.value.cap) == (1920, 100)
+    assert close_group(lat1, e8).order == 696729600
 
 
 def test_close_group_needs_the_lines():
     for degree in (8, 9):
         lat = PicardLattice(degree)
         with pytest.raises(UnsupportedDegree):
-            close_group(lat, [identity(lat)], cap=10)
+            close_group(lat, [identity(lat)])
 
 
-def _reference_close_group(lat, gens, cap):
+def _member(group, iso) -> bool:
+    """Whether iso is in group: its permutation of the lines sifts to the
+    identity through the group's base and transversals."""
+    perm = iso.permutation(_exceptional_cached(group.lattice.degree))
+    return _sift(perm, group.base, group.transversals, 0) == (tuple(range(len(perm))), len(group.base))
+
+
+def _reference_close_group(lat, gens, bound):
     """The elements of the generated group as an (order, rank, rank) int64
-    array: the einsum closure, kept as the oracle for `close_group`."""
+    array, or None once it holds more than bound: the einsum closure, kept
+    as the oracle for `close_group`."""
     gens = tuple(gens)
     d = lat.rank
     gen_arr = np.array([g.matrix for g in gens], dtype=np.int64).reshape(-1, d, d)
@@ -115,8 +114,8 @@ def _reference_close_group(lat, gens, cap):
             if key not in seen:
                 seen[key] = None
                 fresh.append(i)
-                if len(seen) > cap:
-                    raise CapExceeded(len(seen), cap)
+                if len(seen) > bound:
+                    return None
         if not fresh:
             break
         frontier = prods[fresh]
@@ -142,9 +141,10 @@ def _word(lat, roots, rng, length):
 
 
 def _subgroup_cases():
-    """(lattice, generators, cap): 200 seeded random subgroups of W(D5) and
+    """(lattice, generators, bound): 200 seeded random subgroups of W(D5) and
     W(E6), 24 of W(E7) and W(E8), the Weyl groups of degrees 7 to 3, the
-    trivial group, table 2's sigma groups and capped closures."""
+    trivial group, table 2's sigma groups and groups past the reference
+    closure's bound."""
     rng = random.Random(41)
     cases = []
     for degree in (4, 3):
@@ -167,35 +167,30 @@ def _subgroup_cases():
     lat6 = PicardLattice(6)
     for pattern in tables.HEXAGON_FORMS:
         cases.append((lat6, [hexagon_sigma_isometry(lat6, pattern)], 10))
-    for degree, cap in ((4, 100), (3, 1000), (2, 1)):
+    for degree, bound in ((4, 100), (3, 1000), (2, 1)):
         lat = PicardLattice(degree)
-        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)], cap))
+        cases.append((lat, [reflection(lat, s) for s in simple_roots(lat)], bound))
     return cases
 
 
 def test_close_group_matches_reference_closure():
     """Order, membership of members and non-members, and the invariant rank,
     against the int64 closure and the character formula."""
-    from delpezzo.minimality import ActionContext, invariant_rank
+    from delpezzo.minimality import invariant_rank
 
     rng = random.Random(43)
-    capped = closed = outside = 0
+    stopped = closed = outside = 0
     seen = {}  # degree -> the elements of every group closed so far on it
-    for lat, gens, cap in _subgroup_cases():
-        try:
-            want = _reference_close_group(lat, gens, cap)
-        except CapExceeded:
-            capped += 1
-            with pytest.raises(CapExceeded) as got:
-                close_group(lat, gens, cap=cap)
-            order = got.value.partial_size
-            assert order > cap and got.value.cap == cap
-            assert close_group(lat, gens, cap=order).order == order
+    for lat, gens, bound in _subgroup_cases():
+        want = _reference_close_group(lat, gens, bound)
+        group = close_group(lat, gens)
+        if want is None:
+            stopped += 1
+            assert group.order > bound
             continue
         closed += 1
-        group = close_group(lat, gens, cap=cap)
         assert group.order == len(want) and group.generators == tuple(gens)
-        assert invariant_rank(ActionContext(lat, group)) == trace_average_rank(want)
+        assert invariant_rank(group) == trace_average_rank(want)
         keys = {m.tobytes() for m in want}
         # members, and elements of the groups closed before it on this
         # lattice: mostly non-members
@@ -205,29 +200,25 @@ def test_close_group_matches_reference_closure():
         for m in candidates:
             inside = m.tobytes() in keys
             outside += not inside
-            assert (Isometry(lat, m) in group) == inside
-    assert capped >= 7 and closed >= 230 and outside >= 1500
+            assert _member(group, Isometry(lat, m)) == inside
+    assert stopped >= 7 and closed >= 230 and outside >= 1500
 
 
 def test_membership_of_alternating_groups():
-    from delpezzo.minimality import ActionContext
-
     lat = PicardLattice(6)
     weyl = _reference_close_group(lat, [reflection(lat, s) for s in simple_roots(lat)], 12)
     sigmas = [hexagon_sigma_isometry(lat, p) for p in ("fig_a", "fig_b", "fig_c")]
-    ctxs = [ActionContext(lat, close_group(lat, [s], cap=10), sigma=s) for s in sigmas]
+    groups = [close_group(lat, [s]) for s in sigmas]
     members = [{m.tobytes() for m in _reference_close_group(lat, [s], 10)} for s in sigmas]
     assert len({frozenset(m) for m in members}) == 3
     for _ in range(3):
-        for ctx, mine in zip(ctxs, members):
+        for group, sigma, mine in zip(groups, sigmas, members):
             for m in weyl:
-                assert (Isometry(lat, m) in ctx.group) == (m.tobytes() in mine)
-            assert ctx.sigma in ctx.group
-    with pytest.raises(ValueError):
-        ActionContext(lat, ctxs[0].group, sigma=sigmas[1])
+                assert _member(group, Isometry(lat, m)) == (m.tobytes() in mine)
+            assert _member(group, sigma)
     # a group no longer referenced is freed
-    dropped = weakref.ref(ctxs[0].group)
-    del ctxs[0]
+    dropped = weakref.ref(groups[0])
+    del groups[0]
     gc.collect()
     assert dropped() is None
 
@@ -487,10 +478,9 @@ def test_trace_equals_the_einsum_trace():
 def test_group_membership_operator():
     lat = PicardLattice(6)
     sigmas = [hexagon_sigma_isometry(lat, p) for p in ("fig_a", "fig_b")]
-    group = close_group(lat, sigmas[:1], cap=10)
-    assert sigmas[0] in group and identity(lat) in group
-    assert sigmas[1] not in group
-    assert identity(PicardLattice(5)) not in full_weyl_group(6)
+    group = close_group(lat, sigmas[:1])
+    assert _member(group, sigmas[0]) and _member(group, identity(lat))
+    assert not _member(group, sigmas[1])
 
 
 def test_isometry_rejects_non_integer_entries():

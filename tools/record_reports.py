@@ -104,9 +104,8 @@ def _minimal_requests() -> list[tuple[str, list[str]]]:
         ("minimal-d4-order4-sigma", minimal(4, order4, "--sigma", "1")),
         ("minimal-d3-weyl", minimal(3, e6)),
         ("minimal-d3-weyl-sigma", minimal(3, e6, "--sigma", "0")),
-        ("minimal-d3-cap", minimal(3, e6, "--cap", "100")),
-        ("minimal-d2-weyl", minimal(2, _simple_reflections(2), "--cap", "3000000")),
-        ("minimal-d2-weyl-default-cap", minimal(2, _simple_reflections(2))),
+        ("minimal-d2-weyl", minimal(2, _simple_reflections(2))),
+        ("minimal-d1-weyl", minimal(1, _simple_reflections(1))),
         ("minimal-d2-geiser-sigma", minimal(2, _matrices([minus_on_kperp(lat2)]), "--sigma", "0")),
         ("minimal-d2-three-reflections", minimal(2, _matrices(e7_part))),
         ("minimal-d1-bertini", minimal(1, _matrices([minus_on_kperp(PicardLattice(1))]))),
@@ -239,6 +238,8 @@ LITERAL_CASES = [
     ("unary-plus", "-2,0,-2,0,-2", "-1,0,-2,0,-2,0,+2"),
     ("not-rational-z3", "z3,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
     ("conductor-0", "z0,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
+    ("conductor-at-bound", "-2*z1000^0,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
+    ("conductor-above-bound", "-2*z1001^0,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
     *[
         (f"error-{name}", f"{text},0,-2,0,-2", "-1,0,-2,0,-2,0,2")
         for name, text in (("slash", "1/"), ("bare-z", "z"), ("caret", "z3^"), ("character", "1@"),
