@@ -18,7 +18,7 @@ def test_a_mutant_whose_snippet_is_gone_exits_1(monkeypatch, capsys):
         "gone": ("weyl.py", "a snippet that is not in weyl.py", "", ("tests/test_weyl.py::test_close_group_orders",)),
         **{name: mutants.MUTANTS[name] for name in list(mutants.MUTANTS)[:2]},
     })
-    assert mutants.main([]) == 1
+    assert mutants.main() == 1
     out = capsys.readouterr().out
     assert out.splitlines() == ["mutants: gone: its snippet is not found exactly once in src/delpezzo/weyl.py"]
 

@@ -476,11 +476,15 @@ def test_trace_equals_the_einsum_trace():
 
 
 def test_group_membership_operator():
+    """Membership sifts through a base of two points: the group of the fig_a
+    and fig_b involutions holds both, their product and the identity, and
+    not the fig_c involution."""
     lat = PicardLattice(6)
-    sigmas = [hexagon_sigma_isometry(lat, p) for p in ("fig_a", "fig_b")]
-    group = close_group(lat, sigmas[:1])
-    assert _member(group, sigmas[0]) and _member(group, identity(lat))
-    assert not _member(group, sigmas[1])
+    sigmas = [hexagon_sigma_isometry(lat, p) for p in ("fig_a", "fig_b", "fig_c")]
+    group = close_group(lat, sigmas[:2])
+    assert group.order == 4 and len(group.base) == 2
+    assert all(_member(group, g) for g in (sigmas[0], sigmas[1], sigmas[0] * sigmas[1], identity(lat)))
+    assert not _member(group, sigmas[2])
 
 
 def test_isometry_rejects_non_integer_entries():

@@ -14,8 +14,7 @@ its file (a change that rewrites mutated code rewrites its mutant too), or
 when the unmutated run fails; 0 when every mutant is killed.  One mutant
 runs at a time.  Run from the repository root:
 
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py NAME...    # only these
+    python3 tools/mutants.py
 """
 
 from __future__ import annotations
@@ -219,27 +218,21 @@ def _copy(tmp: str, mutant=None) -> Path:
     return src
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    unknown = [name for name in argv if name not in MUTANTS]
-    if unknown:
-        print(f"mutants: no mutant named {', '.join(unknown)}")
-        return 2
-    chosen = {name: MUTANTS[name] for name in argv or MUTANTS}
-    gone = missing(chosen)
+def main() -> int:
+    gone = missing(MUTANTS)
     for name in gone:
-        print(f"mutants: {name}: its snippet is not found exactly once in src/delpezzo/{chosen[name][0]}")
+        print(f"mutants: {name}: its snippet is not found exactly once in src/delpezzo/{MUTANTS[name][0]}")
     if gone:
         return 1
     start = time.monotonic()
-    tests = list(dict.fromkeys(t for *_, named in chosen.values() for t in named))
+    tests = list(dict.fromkeys(t for *_, named in MUTANTS.values() for t in named))
     with tempfile.TemporaryDirectory() as tmp:
         status, detail = run_tests(_copy(tmp), tests)
     if status != "passed":
         print(f"mutants: the named tests do not pass on the unmutated code ({status}: {detail})")
         return 1
     survivors = errors = 0
-    for name, (file, snippet, replacement, named) in chosen.items():
+    for name, (file, snippet, replacement, named) in MUTANTS.items():
         t0 = time.monotonic()
         with tempfile.TemporaryDirectory() as tmp:
             status, detail = run_tests(_copy(tmp, (file, snippet, replacement)), named)
@@ -247,7 +240,7 @@ def main(argv=None) -> int:
         errors += status == "error"
         verdict = {"failed": "killed", "timeout": "killed", "passed": "SURVIVED", "error": "ERROR"}[status]
         print(f"{verdict:8} {name} ({time.monotonic() - t0:.1f} s): {detail}", flush=True)
-    print(f"mutants: {len(chosen) - survivors - errors} of {len(chosen)} killed in {time.monotonic() - start:.0f} s")
+    print(f"mutants: {len(MUTANTS) - survivors - errors} of {len(MUTANTS)} killed in {time.monotonic() - start:.0f} s")
     return 1 if survivors or errors else 0
 
 
