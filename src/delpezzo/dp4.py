@@ -8,7 +8,8 @@ A = {a in (Z/2)^5 : sum a_i = 0} and tau a permutation of the five pairs of
 conic bundles; the product is (a, tau)(b, ups) = (a + tau.b, tau ups) with
 (tau.b)_i = b_{tau^{-1}(i)}.  A form's real structure sigma is such a pair
 too (its flip vector may have odd weight), and every computation here uses
-this group law alone; matrices are for display and tests.
+this group law alone; matrices are for display and tests.  Searches run on
+int codes perm_index * 32 + sign_bits and on Python-int bitsets of codes.
 
 On the basis e_0 = -K, e_i = C_i the matrix M(a, tau), a tuple of six int
 rows, fixes e_0 and sends e_j to a_t e_0 + (-1)^{a_t} e_t with t = tau(j);
@@ -28,10 +29,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 
-from .colorgraph import _perm_inverse
-from .exactnum import _solve
 from .picard import _ints
 
 
@@ -61,12 +62,32 @@ def _check_sign(bits, even: bool = True) -> tuple[int, ...]:
     return bits
 
 
-def _perm_act(p: tuple[int, ...], bits: tuple[int, ...]) -> tuple[int, ...]:
-    """(p.b)_i = b_{p^{-1}(i)}: move the entry at slot j to slot p(j)."""
-    out = [0] * 5
-    for j in range(5):
-        out[p[j]] = bits[j]
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _tables():
+    """(perms, perm -> index, act, comp, inv), built on first use.  perms is
+    lexicographic; act[p][b] is the bits of perms[p].b (bit j moves to bit
+    p(j)); comp[p][q] indexes perms[p] perms[q] and inv[p] perms[p]^{-1}."""
+    perms = list(permutations(range(5)))
+    index = {p: i for i, p in enumerate(perms)}
+    act = [[sum((b >> j & 1) << p[j] for j in range(5)) for b in range(32)] for p in perms]
+    getters = [itemgetter(*q) for q in perms]  # getters[j](p) is perms[j] followed by p
+    comp = [[index[g(p)] for g in getters] for p in perms]
+    return perms, index, act, comp, [row.index(0) for row in comp]
+
+
+def _mul(x: int, y: int) -> int:
+    """Product of two codes: (a + p.b, p q) for x = (a, p), y = (b, q)."""
+    _, _, act, comp, _ = _tables()
+    return comp[x >> 5][y >> 5] << 5 | (x & 31) ^ act[x >> 5][y & 31]
+
+
+def _members(bits: int) -> list[int]:
+    """The codes of a bitset, in increasing order."""
+    out = []
+    while bits:
+        out.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,23 +113,22 @@ class DP4Element:
         return {"sign": list(self.sign), "perm": [p + 1 for p in self.perm]}
 
     def __mul__(self, other: "DP4Element") -> "DP4Element":
-        sign = tuple(
-            (a + b) % 2 for a, b in zip(self.sign, _perm_act(self.perm, other.sign))
-        )
-        perm = tuple(self.perm[other.perm[i]] for i in range(5))
-        return DP4Element(sign, perm)
+        return _element(_mul(_code(self), _code(other)))
 
     def inverse(self) -> "DP4Element":
-        pinv = _perm_inverse(self.perm)
-        return DP4Element(_perm_act(pinv, self.sign), pinv)
+        """(p^{-1}.a, p^{-1}) for self = (a, p)."""
+        _, index, act, _, inv = _tables()
+        p = inv[index[self.perm]]
+        return _element(p << 5 | act[p][_code(self) & 31])
 
     def is_identity(self) -> bool:
         return self.sign == (0, 0, 0, 0, 0) and self.perm == (0, 1, 2, 3, 4)
 
     def order(self) -> int:
-        g, n = self, 1
-        while not g.is_identity():
-            g, n = g * self, n + 1
+        x = _code(self)
+        g, n = x, 1
+        while g:
+            g, n = _mul(g, x), n + 1
         return n
 
     def in_a(self) -> bool:
@@ -116,6 +136,14 @@ class DP4Element:
 
 
 IDENTITY = DP4Element((0, 0, 0, 0, 0))
+
+
+def _code(el: DP4Element) -> int:
+    return _tables()[1][el.perm] << 5 | sum(b << i for i, b in enumerate(el.sign))
+
+
+def _element(code: int) -> DP4Element:
+    return DP4Element(tuple(code >> i & 1 for i in range(5)), _tables()[0][code >> 5])
 
 
 def sign_vector(bits) -> DP4Element:
@@ -191,6 +219,8 @@ _Q31_BASIS = (
 
 def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> tuple[tuple[int, ...], ...]:
     """Matrix of el on Q_{3,1}(0,2) in the basis (F, Fbar, E_p, E_pbar, E_q, E_qbar)."""
+    from .exactnum import _solve
+
     m = dp4_matrix(el, REAL_FORMS["q31_02"], with_sigma)
     t = _Q31_BASIS
     # out = t m t^-1: row k of out solves t^T x = (t m)[k]
@@ -208,13 +238,14 @@ def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> tuple[tupl
 def dp4_invariant_rank(subgroup, form: DP4RealForm):
     """Character-formula rank over {1, sigma} x subgroup; exact Fraction."""
     elems = list(subgroup)
-    eset = set(elems)
-    if IDENTITY not in eset:
+    codes = [_code(g) for g in elems]
+    if not any(g.is_identity() for g in elems):
         raise NotAGroup("subgroup must contain the identity")
-    for g in elems:
-        for h in elems:
-            if g * h not in eset:
-                raise NotAGroup(f"set is not closed: {json.dumps(g.to_json())} * {json.dumps(h.to_json())} missing")
+    bits = sum(1 << x for x in set(codes))
+    members = _members(bits)
+    if any(_coset(members, y) & ~bits for y in codes):
+        g, h = next((g, h) for g, x in zip(elems, codes) for h, y in zip(elems, codes) if not bits >> _mul(x, y) & 1)
+        raise NotAGroup(f"set is not closed: {json.dumps(g.to_json())} * {json.dumps(h.to_json())} missing")
     total = 0
     for g in elems:
         for m in (dp4_matrix(g, form), dp4_matrix(g, form, with_sigma=True)):
@@ -250,19 +281,26 @@ def star_condition(subgroup) -> bool:
 # subgroup enumeration
 
 
-def _extend(h: frozenset[DP4Element], gens: tuple[DP4Element, ...]) -> frozenset[DP4Element]:
-    """<gens> for a subgroup h of it, by Dimino's coset extension: grow a
-    union of right cosets h*r until right multiplication by every generator
-    maps it into itself."""
-    span = set(h)
-    reps = [IDENTITY]
+def _coset(h: list[int], t: int) -> int:
+    """The right coset h*t as a bitset, for h given by its codes."""
+    _, _, act, comp, _ = _tables()
+    p, b = t >> 5, t & 31
+    return sum(1 << (comp[x >> 5][p] << 5 | (x & 31) ^ act[x >> 5][b]) for x in h)
+
+
+def _extend(h: int, gens: tuple[int, ...]) -> int:
+    """<gens> as a bitset of codes, for a subgroup h of it (a bitset), by
+    Dimino's coset extension: grow a union of right cosets h*r until right
+    multiplication by every generator maps it into itself."""
+    hs = _members(h)
+    span, reps = h, [0]
     for r in reps:
         for g in gens:
-            t = r * g
-            if t not in span:
-                span.update(x * t for x in h)
+            t = _mul(r, g)
+            if not span >> t & 1:
+                span |= _coset(hs, t)
                 reps.append(t)
-    return frozenset(span)
+    return span
 
 
 def ambient_group(form: DP4RealForm) -> list[DP4Element]:
@@ -275,47 +313,41 @@ def ambient_group(form: DP4RealForm) -> list[DP4Element]:
         allowed_perms = [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3)]
     else:  # S_3 on pairs {1,2,3} x S_2 on {4,5}
         allowed_perms = [p3 + p2 for p3 in permutations(range(3)) for p2 in permutations((3, 4))]
-    sigma = form.sigma
-    out = []
-    for perm in allowed_perms:
-        for bits in range(32):
-            sign = tuple((bits >> i) & 1 for i in range(5))
-            if sum(sign) % 2:
-                continue
-            el = DP4Element(sign, perm)
-            if sigma * el == el * sigma:
-                out.append(el)
-    return out
+    index, sigma = _tables()[1], _code(form.sigma)
+    codes = (index[perm] << 5 | bits for perm in allowed_perms for bits in range(32) if bits.bit_count() % 2 == 0)
+    return [_element(x) for x in codes if _mul(sigma, x) == _mul(x, sigma)]
 
 
 def all_subgroups(elements: list[DP4Element]) -> list[frozenset[DP4Element]]:
     """Every subgroup of the (small) group given by its element list."""
-    eset = frozenset(elements)
-    trivial = frozenset([IDENTITY])
-    found = {trivial: ()}  # subgroup -> a generating tuple
-    frontier = [trivial]
+    by_code = {0: IDENTITY} | {_code(g): g for g in elements}
+    eset = sum(1 << _code(g) for g in set(elements))
+    found = {1: ()}  # subgroup bitset -> a generating tuple; 1 is {identity}
+    frontier = [1]
     while frontier:
         h = frontier.pop()
-        for g in eset:
-            if g in h:
+        hs, done = _members(h), h
+        for g in by_code:
+            if done >> g & 1:
                 continue
+            done |= _coset(hs, g)  # <h, x*g> = <h, g> for every x in h
             gens = found[h] + (g,)
             bigger = _extend(h, gens)
-            if bigger <= eset and bigger not in found:
+            if not bigger & ~eset and bigger not in found:
                 found[bigger] = gens
                 frontier.append(bigger)
-    return sorted(found, key=lambda s: (len(s), sorted((g.sign, g.perm) for g in s)))
+    subs = (frozenset(by_code[x] for x in _members(s)) for s in found)
+    return sorted(subs, key=lambda s: (len(s), sorted((g.sign, g.perm) for g in s)))
 
 
 def isomorphism_label(sub) -> str:
     """Coarse isomorphism type from order statistics (enough for 2-groups
     of order <= 16 and the small extensions met here)."""
-    elems = list(sub)
-    n = len(elems)
-    orders = sorted(g.order() for g in elems)
-    eset = set(elems)
-    abelian = all(g * h == h * g for g in elems for h in elems)
-    center = sum(1 for g in elems if all(g * h == h * g for h in elems))
+    codes = [_code(g) for g in sub]
+    n = len(codes)
+    orders = sorted(g.order() for g in sub)
+    center = sum(1 for x in codes if all(_mul(x, y) == _mul(y, x) for y in codes))
+    abelian = center == n
     key = (n, tuple(orders), abelian)
     named = {
         (1, (1,), True): "1",
@@ -350,7 +382,7 @@ class MinimalSubgroupReport:
         return len(self.elements)
 
 
-MAX_ENUMERATED_AMBIENT = 192  # q22_02's ambient takes minutes; split's 1920 elements hang
+MAX_ENUMERATED_AMBIENT = 192  # q22_02's 192 elements take about 3 s of CPU; split's 1920 ran past 90 s
 
 
 def enumerate_strongly_minimal(form: DP4RealForm, ambient=None) -> list[MinimalSubgroupReport]:
@@ -361,15 +393,19 @@ def enumerate_strongly_minimal(form: DP4RealForm, ambient=None) -> list[MinimalS
         raise UnsupportedForm(f"{form.label}: ambient of {len(ambient)} > {MAX_ENUMERATED_AMBIENT} elements")
     subs = all_subgroups(ambient)
     minimal = [s for s in subs if dp4_invariant_rank(s, form) == 1]
+    domain = {_code(h) for h in ambient} | {0}
+    conjugations = []  # g -> h g h^-1 on codes, one map per h in the ambient
+    for h in ambient:
+        x, xinv = _code(h), _code(h.inverse())
+        conjugations.append({g: _mul(_mul(x, g), xinv) for g in domain})
     reps: list[frozenset[DP4Element]] = []
-    seen: set[frozenset[DP4Element]] = set()
+    seen: set[int] = set()  # bitsets of codes
     for s in minimal:
-        if s in seen:
+        codes = [_code(g) for g in s]
+        if sum(1 << x for x in codes) in seen:
             continue
         reps.append(s)
-        for h in ambient:
-            hinv = h.inverse()
-            seen.add(frozenset(h * g * hinv for g in s))
+        seen.update(sum(1 << conj[x] for x in codes) for conj in conjugations)
     out = []
     for s in reps:
         elems = tuple(sorted(s, key=lambda g: (g.perm, g.sign)))

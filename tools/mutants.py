@@ -33,6 +33,7 @@ TIMEOUT_S = 20
 
 _CLOSURE = ("tests/test_weyl.py::test_close_group_matches_reference_closure",)
 _CYCLO = ("tests/test_exactnum.py::test_arithmetic_matches_fraction_oracle",)
+_DP4_LAW = ("tests/test_dp4.py::test_code_group_law_matches_the_matrix_homomorphism",)
 
 MUTANTS = {
     # the base and strong generating set
@@ -178,6 +179,25 @@ MUTANTS = {
         "conductor = lcm(conductor, n or 1)",
         "conductor = n",
         ("tests/test_exactnum.py::test_parser_bounds_the_conductor_of_a_literal",),
+    ),
+    # the int-code group law of dp4 and its conjugation maps
+    "dp4-permutations-composed-in-the-wrong-order": (
+        "dp4.py",
+        "comp = [[index[g(p)] for g in getters] for p in perms]",
+        "comp = [[index[itemgetter(*p)(q)] for q in perms] for p in perms]",
+        _DP4_LAW,
+    ),
+    "dp4-sign-action-read-through-p": (
+        "dp4.py",
+        "(b >> j & 1) << p[j]",
+        "(b >> p[j] & 1) << j",
+        _DP4_LAW,
+    ),
+    "dp4-conjugation-by-h-on-both-sides": (
+        "dp4.py",
+        "_mul(_mul(x, g), xinv)",
+        "_mul(_mul(x, g), x)",
+        ("tests/test_report_corpus.py::test_report_matches_the_recorded_digest[dp4-p2-3-1-minimal]",),
     ),
 }
 

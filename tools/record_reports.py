@@ -316,6 +316,7 @@ def requests() -> list[tuple[str, list[str]]]:
         ("dp4-rank-elements", ["dp4", "--form", "q31-0-2", "--rank-elements", rank]),
         ("dp4-q31-0-2-minimal", ["dp4", "--form", "q31-0-2", "--enumerate-minimal"]),
         ("dp4-p2-1-2-minimal", ["dp4", "--form", "p2-1-2", "--enumerate-minimal"]),
+        ("dp4-p2-3-1-minimal", ["dp4", "--form", "p2-3-1", "--enumerate-minimal"]),
         ("dp4-split-minimal", ["dp4", "--form", "split", "--enumerate-minimal"]),
         ("dp4-unknown-form", ["dp4", "--form", "nosuch", "--enumerate-minimal"]),
         ("dp4-no-form", ["dp4", "--enumerate-minimal"]),
