@@ -8,9 +8,9 @@ The subcommands are one declarative spec, `_SUBCOMMANDS`: name, help and
 arguments (or nested leaves, for `dp1`); the handler of `a b` is `cmd_a_b`.
 A request pays only for its subcommand: `build_parser` adds just the
 subcommand (and leaf) that argv names, and each handler imports the
-modules it uses when it runs, so `import delpezzo.cli` loads no numpy.
-`table --id N` runs `tables._TABLES[N]`, which lives beside the expected
-values it checks.
+modules it uses when it runs, so `import delpezzo.cli` loads no other
+package module, no numpy and no `fractions`.  `table --id N` runs
+`tables._TABLES[N]`, which lives beside the expected values it checks.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-
-from . import tables
-from .tables import _check
 
 SCHEMA_VERSION = "1"
 
@@ -53,7 +49,8 @@ def _fingerprint_json(fp):
     return out
 
 
-def _parse_rational_list(text: str) -> list[Fraction]:
+def _parse_rational_list(text: str) -> list:
+    """The comma-separated scalars of text, as Fractions."""
     from .exactnum import parse_scalar
 
     out = []
@@ -277,6 +274,7 @@ def cmd_cubic(args):
         fermat_lines,
         fermat_twist,
     )
+    from .tables import CLEBSCH_REAL_LINES, FERMAT_REAL_LINES, _check
 
     lines = fermat_lines() if args.model == "fermat" else clebsch_lines()
     twist = fermat_twist(args.twist) if args.model == "fermat" else clebsch_twist(args.twist)
@@ -285,9 +283,7 @@ def cmd_cubic(args):
     if args.count_real_lines:
         count = count_real_lines(lines, twist)
         results["real_lines"] = count
-        expected = (
-            tables.FERMAT_REAL_LINES if args.model == "fermat" else tables.CLEBSCH_REAL_LINES
-        )[args.twist]
+        expected = (FERMAT_REAL_LINES if args.model == "fermat" else CLEBSCH_REAL_LINES)[args.twist]
         checks.append(_check("real_lines", expected["value"], count, expected["source"]))
     if args.count_real_tritangents:
         results["real_tritangents"] = count_real_tritangents(lines, twist)
@@ -296,6 +292,7 @@ def cmd_cubic(args):
 
 def cmd_dp2_example(args):
     from .explicitlines import dp2_orbit_report
+    from .tables import _check
 
     rep = dp2_orbit_report(args.w_sign)
     results = {
@@ -385,7 +382,9 @@ def cmd_dp1_star(args):
 
 
 def reproduce_table(table_id: int):
-    table = tables._TABLES.get(table_id)
+    from .tables import _TABLES, _check
+
+    table = _TABLES.get(table_id)
     if table is None:
         raise UsageError(f"unsupported table id {table_id}")
     partial = []  # k of every frame scan that stopped at its budget

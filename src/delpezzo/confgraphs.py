@@ -9,34 +9,34 @@ minimal-subgroup lists of the degree-6 classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import colorgraph
-from .exactnum import _solve
 from .picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_exceptional
 from .weyl import Isometry
 
 SIGMA_PATTERNS = ("split", "fig_a", "fig_b", "fig_c")
 
 
-@dataclass(frozen=True)
 class PermGroup:
     """A set of vertex permutations closed under composition."""
 
-    elements: tuple[tuple[int, ...], ...]
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ("elements", "generators")
+
+    def __init__(self, elements: tuple[tuple[int, ...], ...], generators: tuple[tuple[int, ...], ...]):
+        self.elements, self.generators = elements, generators
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
 class ColoredIncidenceGraph:
-    vertices: tuple[LatticeClass, ...]
-    adjacency: tuple[tuple[int, ...], ...]  # 0/1, symmetric, zero diagonal
-    blocks: tuple[tuple[int, ...], ...]  # sigma-orbits as index tuples
-    real_flags: tuple[bool, ...]  # per block: True for singleton (real) blocks
+    """adjacency: 0/1, symmetric, zero diagonal; blocks: the sigma-orbits as
+    index tuples; real_flags: per block, True for singleton (real) blocks."""
+
+    __slots__ = ("vertices", "adjacency", "blocks", "real_flags")
+
+    def __init__(self, vertices: tuple[LatticeClass, ...], adjacency, blocks, real_flags):
+        self.vertices, self.adjacency, self.blocks, self.real_flags = vertices, adjacency, blocks, real_flags
 
     def block_of(self) -> dict[int, int]:
         return {v: i for i, blk in enumerate(self.blocks) for v in blk}
@@ -120,6 +120,8 @@ def hexagon_sigma_isometry(lat: PicardLattice, pattern: str) -> Isometry:
 
 def vertex_permutation_isometry(lat: PicardLattice, perm: tuple[int, ...]) -> Isometry:
     """Extend a hexagon symmetry to the unique lattice isometry."""
+    from .exactnum import _solve
+
     verts = hexagon_vertex_order(lat)
     # M v_i = v_perm(i) for the first four vertices: row k of M solves
     # sum_j x_j v_i[j] = v_perm(i)[k] for i < 4

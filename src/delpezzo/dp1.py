@@ -7,7 +7,6 @@ rows of the degree-1 classification, and star-of-David configurations of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING
@@ -15,10 +14,10 @@ from typing import TYPE_CHECKING
 from . import realroots
 from .colorgraph import _orbits
 from .exactnum import _solve
-from .invforms import BinaryForm, PointGroup2D, group_from_label, in_span, invariant_subspace
 from .picard import LatticeClass, PicardLattice, enumerate_exceptional
 
 if TYPE_CHECKING:
+    from .invforms import BinaryForm, PointGroup2D
     from .weyl import Isometry
 
 
@@ -30,20 +29,19 @@ class NotTypeA2Squared(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class DP1Surface:
-    """Coefficients of the reduced model w^2 = z^3 + f4(x,y) z + f6(x,y)."""
+    """Coefficients of the reduced model w^2 = z^3 + f4(x,y) z + f6(x,y);
+    disc is discriminant(self)."""
 
-    f4: BinaryForm
-    f6: BinaryForm
-    disc: BinaryForm = field(init=False, repr=False, compare=False)  # discriminant(self)
+    __slots__ = ("f4", "f6", "disc")
 
-    def __post_init__(self):
-        if self.f4.degree != 4 or self.f6.degree != 6:
+    def __init__(self, f4: BinaryForm, f6: BinaryForm):
+        if f4.degree != 4 or f6.degree != 6:
             raise ValueError("need forms of degrees 4 and 6")
-        if not (self.f4.is_rational() and self.f6.is_rational()):
+        if not (f4.is_rational() and f6.is_rational()):
             raise ValueError("coefficients must be rational")
-        object.__setattr__(self, "disc", discriminant(self))
+        self.f4, self.f6 = f4, f6
+        self.disc = discriminant(self)
         if self.disc.is_zero():
             raise ValueError("identically-zero discriminant: every fiber is singular")
 
@@ -55,6 +53,8 @@ def discriminant(s: DP1Surface) -> BinaryForm:
     is (4 A^3 d6^2 + 27 B^2 d4^3) / (d4^3 d6^2), multiplied out over the
     integers.
     """
+    from .invforms import BinaryForm
+
     a, d4 = _integral(s.f4)
     b, d6 = _integral(s.f6)
     a3 = realroots._poly_mul(realroots._poly_mul(a, a), a)
@@ -78,10 +78,14 @@ def _dehomogenize(form: BinaryForm) -> tuple[tuple[int, ...], int]:
     return poly, form.degree - len(poly) + 1 if poly else form.degree
 
 
-@dataclass(frozen=True)
 class FiberReport:
-    location: tuple[Fraction, Fraction] | str  # isolating interval or "infinity"
-    kind: str  # "acnode", "crunode", "cusp"
+    """location: an isolating interval or "infinity"; kind: "acnode",
+    "crunode" or "cusp"."""
+
+    __slots__ = ("location", "kind")
+
+    def __init__(self, location: tuple[Fraction, Fraction] | str, kind: str):
+        self.location, self.kind = location, kind
 
 
 def classify_fibers(s: DP1Surface) -> list[FiberReport]:
@@ -174,6 +178,8 @@ def table8_certify(group: PointGroup2D | None, s: DP1Surface, bertini_in_lift: b
     """True iff (f4, f6) lie in the group's invariant families and the lifted
     group contains the Bertini involution (via -id, or the explicit flag for
     the group generated by the Bertini involution alone)."""
+    from .invforms import in_span, invariant_subspace
+
     if group is None:
         return bool(bertini_in_lift)
     has_bertini = bertini_in_lift or group.contains_minus_identity()
@@ -185,6 +191,8 @@ def table8_certify(group: PointGroup2D | None, s: DP1Surface, bertini_in_lift: b
 
 
 def table8_certify_row(label: str, s: DP1Surface) -> bool:
+    from .invforms import group_from_label
+
     if label not in TABLE8_ROWS:
         raise ValueError(f"unknown table row {label!r}")
     key = TABLE8_ROWS[label]
@@ -197,13 +205,14 @@ def table8_certify_row(label: str, s: DP1Surface) -> bool:
 # star configurations for type A_2^2 elements
 
 
-@dataclass(frozen=True)
 class StarConfiguration:
     """Six (-1)-classes H_1..H_6 with H_i.H_(i+1) = 0, H_i.H_(i+2) = 2,
     H_i.H_(i+3) = 3 and H_i + H_(i+3) = -2K."""
 
-    classes: tuple[LatticeClass, ...]
-    pointwise_fixed: bool
+    __slots__ = ("classes", "pointwise_fixed")
+
+    def __init__(self, classes: tuple[LatticeClass, ...], pointwise_fixed: bool):
+        self.classes, self.pointwise_fixed = classes, pointwise_fixed
 
     def validate(self, lat: PicardLattice) -> None:
         h = self.classes

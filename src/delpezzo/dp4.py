@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from operator import itemgetter
@@ -90,18 +88,25 @@ def _members(bits: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class DP4Element:
     """Pair (sign, perm); perm maps pair index i (0-based) to perm[i]."""
 
-    sign: tuple[int, ...]
-    perm: tuple[int, ...] = (0, 1, 2, 3, 4)
+    __slots__ = ("sign", "perm")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sign", _check_sign(self.sign, even=False))
-        object.__setattr__(self, "perm", _ints(self.perm, ValueError, "perm must permute the five pairs", 5))
+    def __init__(self, sign, perm=(0, 1, 2, 3, 4)):
+        object.__setattr__(self, "sign", _check_sign(sign, even=False))
+        object.__setattr__(self, "perm", _ints(perm, ValueError, "perm must permute the five pairs", 5))
         if sorted(self.perm) != [0, 1, 2, 3, 4]:
             raise ValueError("perm must permute the five pairs")
+
+    def __setattr__(self, *_):
+        raise AttributeError("DP4Element is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, DP4Element) and other.sign == self.sign and other.perm == self.perm
+
+    def __hash__(self):
+        return hash((self.sign, self.perm))
 
     @classmethod
     def from_json(cls, entry: dict) -> "DP4Element":
@@ -154,11 +159,17 @@ def sign_vector(bits) -> DP4Element:
 # real forms: Galois action on the ten conic bundles, in the same encoding
 
 
-@dataclass(frozen=True)
 class DP4RealForm:
-    label: str
-    flips: tuple[int, ...]  # flip bit per pair, indexed by target slot
-    pair_perm: tuple[int, ...]
+    """flips: a flip bit per pair, indexed by target slot."""
+
+    __slots__ = ("label", "flips", "pair_perm")
+
+    def __init__(self, label: str, flips: tuple[int, ...], pair_perm: tuple[int, ...]):
+        for name, value in zip(self.__slots__, (label, flips, pair_perm)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("DP4RealForm is immutable")
 
     @property
     def sigma(self) -> DP4Element:
@@ -236,7 +247,8 @@ def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> tuple[tupl
 
 
 def dp4_invariant_rank(subgroup, form: DP4RealForm):
-    """Character-formula rank over {1, sigma} x subgroup; exact Fraction."""
+    """Character-formula rank over {1, sigma} x subgroup: an int, or an exact
+    Fraction when sigma does not normalize the subgroup."""
     elems = list(subgroup)
     codes = [_code(g) for g in elems]
     if not any(g.is_identity() for g in elems):
@@ -250,8 +262,12 @@ def dp4_invariant_rank(subgroup, form: DP4RealForm):
     for g in elems:
         for m in (dp4_matrix(g, form), dp4_matrix(g, form, with_sigma=True)):
             total += sum(m[i][i] for i in range(6)) - 1
-    rank = 1 + Fraction(total, 2 * len(elems))
-    return int(rank) if rank.denominator == 1 else rank
+    rank, rem = divmod(total, 2 * len(elems))
+    if not rem:
+        return 1 + rank
+    from fractions import Fraction
+
+    return 1 + Fraction(total, 2 * len(elems))
 
 
 def delta_criterion(subgroup, form: DP4RealForm) -> bool:
@@ -371,11 +387,11 @@ def isomorphism_label(sub) -> str:
     return f"{kind} order {n}"
 
 
-@dataclass(frozen=True)
 class MinimalSubgroupReport:
-    form: str
-    elements: tuple[DP4Element, ...]
-    label: str
+    __slots__ = ("form", "elements", "label")
+
+    def __init__(self, form: str, elements: tuple[DP4Element, ...], label: str):
+        self.form, self.elements, self.label = form, elements, label
 
     @property
     def order(self) -> int:
@@ -418,18 +434,17 @@ def enumerate_strongly_minimal(form: DP4RealForm, ambient=None) -> list[MinimalS
 # Wall characteristic of a real pencil of quadrics
 
 
-@dataclass(frozen=True)
 class PencilSpec:
     """Diagonal part of a nonsingular real pencil: integer pairs (a_k, b_k),
     each naming the direction of a pencil point (so any rational one)."""
 
-    real_eigen_pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("real_eigen_pairs",)
 
-    def __post_init__(self):
-        pairs = tuple(_ints(p, ValueError, "pencil points are integer pairs", 2) for p in self.real_eigen_pairs)
+    def __init__(self, real_eigen_pairs):
+        pairs = tuple(_ints(p, ValueError, "pencil points are integer pairs", 2) for p in real_eigen_pairs)
         if (0, 0) in pairs:
             raise ValueError("pencil pairs must be nonzero")
-        object.__setattr__(self, "real_eigen_pairs", pairs)
+        self.real_eigen_pairs = pairs
 
 
 def _half(v: tuple[int, int]) -> int:

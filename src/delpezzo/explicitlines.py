@@ -10,7 +10,6 @@ two defining equations w = q(x,y,z), l(x,y,z) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -51,13 +50,13 @@ class InvalidCocycle(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ProjSpaceLine:
     """Line in P^n spanned by two independent points."""
 
-    ambient_dim: int
-    span: tuple[tuple[CycloNum, ...], tuple[CycloNum, ...]]
-    label: str = ""
+    __slots__ = ("ambient_dim", "span", "label")
+
+    def __init__(self, ambient_dim: int, span, label: str = ""):
+        self.ambient_dim, self.span, self.label = ambient_dim, span, label
 
     def meets(self, other: "ProjSpaceLine") -> bool:
         """Two distinct lines in P^n meet iff their four span points have rank 3."""
@@ -72,15 +71,14 @@ class ProjSpaceLine:
         )
 
 
-@dataclass(frozen=True)
 class TwistedRealStructure:
     """automorphism o (coordinatewise conjugation); entries are cyclotomic."""
 
-    matrix: tuple[tuple[CycloNum, ...], ...]
-    label: str = ""
+    __slots__ = ("matrix", "label")
 
-    def __post_init__(self):
-        m = self.matrix
+    def __init__(self, matrix: tuple[tuple[CycloNum, ...], ...], label: str = ""):
+        self.matrix, self.label = matrix, label
+        m = matrix
         n = len(m)
         prod = [
             [sum((m[i][k] * conj(m[k][j]) for k in range(n)), ZERO) for j in range(n)]
@@ -274,16 +272,16 @@ def count_real_tritangents(lines: list[ProjSpaceLine], rs: TwistedRealStructure)
 _I = cyclo_make(4, 1)
 
 
-@dataclass(frozen=True)
 class WeightedLine:
     """Line on the degree-2 surface: w = q(x,y,z) on the plane line l = 0.
 
     q is stored as the 6 coefficients of (x^2, y^2, z^2, xy, xz, yz); l as
     the 3 coefficients of (x, y, z)."""
 
-    w_form: tuple[CycloNum, ...]
-    lin: tuple[CycloNum, ...]
-    label: str = ""
+    __slots__ = ("w_form", "lin", "label")
+
+    def __init__(self, w_form: tuple[CycloNum, ...], lin: tuple[CycloNum, ...], label: str = ""):
+        self.w_form, self.lin, self.label = w_form, lin, label
 
     def eval_w(self, pt) -> CycloNum:
         x, y, z = pt

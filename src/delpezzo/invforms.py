@@ -8,31 +8,36 @@ the exact Reynolds projector, reduced to a rational integral echelon basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .exactnum import CycloNum, cyclo_make
+from .exactnum import _MAX_CONDUCTOR, CycloNum, cyclo_make
 from .explicitlines import mat_rank
 
 _ZERO = CycloNum.rational(0)
 _ONE = CycloNum.rational(1)
 
 
-@dataclass(frozen=True)
 class BinaryForm:
     """Homogeneous form in x, y: coeffs for x^k, x^(k-1) y, ..., y^k."""
 
-    degree: int
-    coeffs: tuple[CycloNum, ...]
+    __slots__ = ("degree", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(
-            c if isinstance(c, CycloNum) else CycloNum.rational(c) for c in self.coeffs
-        )
-        if len(coeffs) != self.degree + 1:
+    def __init__(self, degree: int, coeffs):
+        coeffs = tuple(c if isinstance(c, CycloNum) else CycloNum.rational(c) for c in coeffs)
+        if len(coeffs) != degree + 1:
             raise ValueError("coefficient vector length must be degree + 1")
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *_):
+        raise AttributeError("BinaryForm is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, BinaryForm) and other.degree == self.degree and other.coeffs == self.coeffs
+
+    def __hash__(self):
+        return hash((self.degree, self.coeffs))
 
     @staticmethod
     def from_rational(coeffs) -> "BinaryForm":
@@ -120,11 +125,14 @@ def _binomial_powers(a: CycloNum, b: CycloNum, n: int) -> list[CycloNum]:
     return out
 
 
-@dataclass(frozen=True)
 class PointGroup2D:
-    kind: str  # "cyclic" or "dihedral"
-    n: int
-    matrices: tuple[tuple[tuple[CycloNum, CycloNum], tuple[CycloNum, CycloNum]], ...]
+    """kind: "cyclic" or "dihedral"; matrices: each a pair of rows of two
+    CycloNum entries."""
+
+    __slots__ = ("kind", "n", "matrices")
+
+    def __init__(self, kind: str, n: int, matrices):
+        self.kind, self.n, self.matrices = kind, n, matrices
 
     @property
     def order(self) -> int:
@@ -172,6 +180,9 @@ def group_from_label(label: str) -> PointGroup2D:
     n = int(key[1:])
     if n < 1:
         raise ValueError(f"2D point group label {label!r} needs n >= 1")
+    # the rotations live in Q(zeta_lcm(4, n)), bounded as a literal's conductor is
+    if lcm(4, n) > _MAX_CONDUCTOR:
+        raise ValueError(f"2D point group label {label!r}: conductor lcm(4, {n}) exceeds {_MAX_CONDUCTOR}")
     return standard_cyclic(n) if key[0] == "z" else standard_dihedral(n)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -37,14 +36,22 @@ def _ints(values, error, message: str, n: int | None = None) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
 class LatticeClass:
     """Integer divisor class in coordinates (e_0, e_1, ..., e_r)."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _ints(self.coords, ValueError, "class coordinates must be integers"))
+    def __init__(self, coords):
+        object.__setattr__(self, "coords", _ints(coords, ValueError, "class coordinates must be integers"))
+
+    def __setattr__(self, *_):
+        raise AttributeError("LatticeClass is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, LatticeClass) and other.coords == self.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     def __add__(self, other: "LatticeClass") -> "LatticeClass":
         if len(self.coords) != len(other.coords):

@@ -11,7 +11,6 @@ named conjugacy classes used in the degree 1-4 classifications.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
 from math import prod
@@ -28,7 +27,6 @@ from .picard import (
     enumerate_roots,
     tritangent_trios,
 )
-from .realroots import _pdivmod, _poly_mul
 
 
 class NotARoot(ValueError):
@@ -250,13 +248,27 @@ def close_group(lat: PicardLattice, gens, *, cap=None) -> IsometryGroup:
 # fingerprints
 
 
-@dataclass(frozen=True)
 class ElementFingerprint:
-    trace_kperp: int
-    charpoly_kperp: tuple[int, ...]  # ascending coefficients, monic
-    fixed_line_count: int
-    order: int
-    fixed_trio_count: int | None = None  # populated on degree 3 only
+    """charpoly_kperp: ascending coefficients, monic; fixed_trio_count:
+    degree 3 only, else None."""
+
+    __slots__ = ("trace_kperp", "charpoly_kperp", "fixed_line_count", "order", "fixed_trio_count")
+
+    def __init__(self, trace_kperp: int, charpoly_kperp, fixed_line_count: int, order: int, fixed_trio_count=None):
+        for name, value in zip(self.__slots__, (trace_kperp, charpoly_kperp, fixed_line_count, order, fixed_trio_count)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("ElementFingerprint is immutable")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return isinstance(other, ElementFingerprint) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def charpoly_str(self) -> str:
         terms = []
@@ -312,6 +324,8 @@ def element_order(g: Isometry) -> int:
 def fingerprint(lat: PicardLattice, g: Isometry) -> ElementFingerprint:
     """Trace/charpoly on the orthogonal complement of K, order, fixed lines
     and (degree 3) fixed tritangent trios, read off the line permutation."""
+    from .realroots import _pdivmod
+
     full = _charpoly_int(g.matrix)
     kperp, r, _ = _pdivmod(full, (-1, 1))  # K contributes the eigenvalue-1 factor
     if r:
@@ -369,11 +383,11 @@ def full_weyl_group(degree: int) -> IsometryGroup:
 # involution frames: products of reflections in k pairwise-orthogonal roots
 
 
-@dataclass(frozen=True)
 class FrameScan:
-    fingerprints: tuple[ElementFingerprint, ...]
-    frames_examined: int
-    exhausted: bool
+    __slots__ = ("fingerprints", "frames_examined", "exhausted")
+
+    def __init__(self, fingerprints: tuple[ElementFingerprint, ...], frames_examined: int, exhausted: bool):
+        self.fingerprints, self.frames_examined, self.exhausted = fingerprints, frames_examined, exhausted
 
 
 def _positive_roots(lat: PicardLattice) -> list[tuple[int, ...]]:
@@ -480,24 +494,18 @@ _NAMED = {
 # ascending coefficients of the characteristic polynomial on the complement
 # of K.  (A_3xA_1)' and (A_3xA_1)'' share every datum the tables provide.
 def _poly_from_factors(*factors):
+    from .realroots import _poly_mul
+
     return tuple(reduce(_poly_mul, factors, (1,)))
 
 
-_X_MINUS_1 = (-1, 1)
-_X_PLUS_1 = (1, 1)
-_X2_PLUS_1 = (1, 0, 1)
-
+# the products, by _poly_from_factors, of (x^2+1)^a (x+1)^b (x-1)^c for
+# (a, b, c) = (2, 2, 1), (1, 3, 2), (2, 1, 2) and (1, 2, 3)
 _NAMED_ORDER4_E7 = {
-    _poly_from_factors(_X2_PLUS_1, _X2_PLUS_1, _X_PLUS_1, _X_PLUS_1, _X_MINUS_1): "A_3^2",
-    _poly_from_factors(
-        _X2_PLUS_1, _X_PLUS_1, _X_PLUS_1, _X_PLUS_1, _X_MINUS_1, _X_MINUS_1
-    ): "A_3xA_1^2",
-    _poly_from_factors(
-        _X2_PLUS_1, _X2_PLUS_1, _X_PLUS_1, _X_MINUS_1, _X_MINUS_1
-    ): "D_4(a_1)xA_1",
-    _poly_from_factors(
-        _X2_PLUS_1, _X_PLUS_1, _X_PLUS_1, _X_MINUS_1, _X_MINUS_1, _X_MINUS_1
-    ): "(A_3xA_1)'|(A_3xA_1)''",
+    (-1, -1, -1, -1, 1, 1, 1, 1): "A_3^2",
+    (1, 1, -1, -1, -1, -1, 1, 1): "A_3xA_1^2",
+    (1, -1, 1, -1, -1, 1, -1, 1): "D_4(a_1)xA_1",
+    (-1, 1, 1, -1, 1, -1, -1, 1): "(A_3xA_1)'|(A_3xA_1)''",
 }
 
 

@@ -447,12 +447,32 @@ def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
     assert _parse_exit(capsys, build_parser(), [])[2].endswith("required: command\n")
 
 
+# what a fresh process loads for each request of the `tables` workload,
+# besides delpezzo and delpezzo.cli: package modules, and numpy, inspect and
+# dataclasses when loaded (numpy imports inspect; no module imports dataclasses)
+_SCAN = "_kernels colorgraph picard realroots tables weyl numpy inspect"
+TABLE_REQUEST_MODULES = {
+    "table --id 1": "colorgraph picard tables weyl",
+    "table --id 2": "colorgraph confgraphs exactnum minimality picard realroots tables weyl",
+    "table --id 3": _SCAN,
+    "table --id 4": _SCAN + " dp4",
+    "table --id 5": "colorgraph exactnum explicitlines realroots tables",
+    "table --id 6": _SCAN,
+    "table --id 7": _SCAN,
+    "dp1 star --reference": "colorgraph dp1 exactnum picard realroots weyl",
+    "dp4 --form q31-0-2 --enumerate-minimal": "dp4 picard",
+    "dp4 --form p2-1-2 --enumerate-minimal": "dp4 picard",
+    "graph --degree 6 --sigma fig_a": "colorgraph confgraphs exactnum picard realroots weyl",
+}
+
+
 def test_subcommands_import_only_what_they_use():
     """The CLI starts without numpy; `lattice`, tables 1, 2 and 5, the dp4
     requests, `dp1 rationality`, `minimal`, `dp1 star`, `graph` and
     `classify-involution` run without it; a dp4 rank never loads the
-    Weyl-group layer; and tables 1 and 7, which need only the Weyl-group
-    layer and the frame scan, load no cyclotomic arithmetic."""
+    Weyl-group layer; tables 1 and 7, which need only the Weyl-group layer
+    and the frame scan, load no cyclotomic arithmetic; and each `tables`
+    request, in a fresh process, loads exactly its TABLE_REQUEST_MODULES."""
     from delpezzo.picard import PicardLattice
     from delpezzo.weyl import minus_on_kperp
 
@@ -491,7 +511,7 @@ def test_subcommands_import_only_what_they_use():
     first, last = out.splitlines()
     codes, (at_import, after_lattice, after_table, after_dp4, after_minimal, after_dp1) = json.loads(first)
     assert codes == [0] * (5 + len(weyl_requests))
-    assert at_import == ["delpezzo", "delpezzo.cli", "delpezzo.tables"]
+    assert at_import == ["delpezzo", "delpezzo.cli"]
     assert "numpy" not in after_lattice and "delpezzo.picard" in after_lattice
     assert "numpy" not in after_table and "delpezzo.explicitlines" in after_table
     assert "delpezzo.weyl" not in after_dp4 and "delpezzo.dp4" in after_dp4
@@ -510,6 +530,22 @@ def test_subcommands_import_only_what_they_use():
     codes, after_tables = json.loads(out)
     assert codes == [0, 0]
     assert "delpezzo.exactnum" not in after_tables and {"delpezzo.weyl", "delpezzo._kernels"} <= set(after_tables)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import TABLE_REQUESTS
+
+    assert [" ".join(r) for r in TABLE_REQUESTS] == list(TABLE_REQUEST_MODULES)
+    for request, modules in TABLE_REQUEST_MODULES.items():
+        out = _child(
+            "import contextlib, io, json, sys\n"
+            "import delpezzo.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({request.split()!r})\n"
+            "watched = ('numpy', 'inspect', 'dataclasses')\n"
+            "print(json.dumps([code, [m for m in sys.modules if m.startswith('delpezzo.') or m in watched]]))\n"
+        )
+        code, loaded = json.loads(out)
+        assert code == 0, request
+        assert sorted(m.removeprefix("delpezzo.") for m in loaded) == sorted(["cli", *modules.split()]), request
 
 
 def test_a_reader_that_closes_stdout_ends_the_output():

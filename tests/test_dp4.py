@@ -73,6 +73,19 @@ def test_group_law_and_order():
     assert (g * g.inverse()).is_identity()
 
 
+def test_elements_are_immutable_values():
+    g = DP4Element((1, 0, 0, 0, 0), (1, 0, 2, 3, 4))
+    assert g == DP4Element([1, 0, 0, 0, 0], [1, 0, 2, 3, 4]) and hash(g) == hash(DP4Element([1, 0, 0, 0, 0], [1, 0, 2, 3, 4]))
+    assert g != DP4Element((1, 0, 0, 0, 0)) and g != DP4Element((0, 0, 0, 0, 0), (1, 0, 2, 3, 4))
+    assert g != ((1, 0, 0, 0, 0), (1, 0, 2, 3, 4))
+    assert len({g, DP4Element((1, 0, 0, 0, 0), (1, 0, 2, 3, 4)), DP4Element((1, 0, 0, 0, 0))}) == 2
+    for attr in ("sign", "perm"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, getattr(IDENTITY, attr))
+    with pytest.raises(AttributeError):
+        REAL_FORMS["split"].flips = (1, 0, 0, 0, 0)
+
+
 def test_sign_vector_validation():
     with pytest.raises(ValueError):
         sign_vector((1, 0, 0, 0, 0))

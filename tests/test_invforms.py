@@ -27,6 +27,15 @@ BOX_DIMS = {
 }
 
 
+def test_group_labels_bound_the_rotation_conductor():
+    """zN and dN rotate by 2 pi / N in Q(zeta_lcm(4, N)), at most 1000 as for literals."""
+    for label in ("z1000", "d498", "z249", "Z/4"):
+        assert group_from_label(label).n == int(label.lstrip("zZdD/")), label
+    for label in ("z251", "d502", "z1004", "d1001", "z5000"):
+        with pytest.raises(ValueError, match="conductor"):
+            group_from_label(label)
+
+
 def test_standard_representations():
     z4 = standard_cyclic(4)
     assert z4.order == 4

@@ -67,6 +67,15 @@ def test_class_coordinates_are_integers_never_coerced():
             LatticeClass(bad)
 
 
+def test_classes_are_immutable_values():
+    c = LatticeClass((1, -1, 0))
+    assert c == LatticeClass([1, -1, 0]) and hash(c) == hash(LatticeClass([1, -1, 0]))
+    assert c != LatticeClass((1, -1, 1)) and c != LatticeClass((1, -1)) and c != (1, -1, 0)
+    assert len({c, LatticeClass((1, -1, 0)), LatticeClass((0, -1, 0))}) == 2
+    with pytest.raises(AttributeError):
+        c.coords = (0, 0, 0)
+
+
 def test_unsupported_degrees():
     with pytest.raises(UnsupportedDegree):
         enumerate_roots(PicardLattice(8))

@@ -320,6 +320,13 @@ def test_division_and_gcd_match_fraction_oracle():
     assert poly_gcd([], []) == ()
 
 
+def test_bisection_stops_at_a_midpoint_root():
+    """The root 1 of (x - 1)(x - 3) is the midpoint of its isolating interval (0, 2)."""
+    p = [3, -4, 1]
+    assert tighten_interval(p, (Fraction(0), Fraction(2)), Fraction(1, 10)) == (1, 1)
+    assert sign_at_root(p, (0, 2), [-2, 1]) == -1
+
+
 def test_sign_at_root_raises_where_q_vanishes():
     # sqrt(2) is an irrational root of both
     with pytest.raises(ValueError, match="q vanishes at the root"):

@@ -18,6 +18,8 @@ from delpezzo.picard import (
     tritangent_trios,
 )
 from delpezzo.weyl import (
+    _NAMED_ORDER4_E7,
+    ElementFingerprint,
     Isometry,
     NotAnIsometry,
     NotARoot,
@@ -263,6 +265,24 @@ def test_fingerprint_is_conjugation_invariant():
         h = reflection(lat, rng.choice(w_roots)) * reflection(lat, rng.choice(w_roots))
         conj = h * g * h.inverse()
         assert fingerprint(lat, conj) == fp
+
+
+def test_fingerprints_compare_by_every_field():
+    fields = dict(trace_kperp=4, charpoly_kperp=(-1, 4, -5, 0, 5, -4, 1), fixed_line_count=15, order=2, fixed_trio_count=5)
+    fp = ElementFingerprint(**fields)
+    assert fp == ElementFingerprint(*fields.values()) and hash(fp) == hash(ElementFingerprint(**fields))
+    for name, other in (("trace_kperp", 3), ("charpoly_kperp", (1,)), ("fixed_line_count", 7), ("order", 3), ("fixed_trio_count", None)):
+        assert fp != ElementFingerprint(**dict(fields, **{name: other})), name
+    assert ElementFingerprint(4, (1,), 15, 2).fixed_trio_count is None
+    with pytest.raises(AttributeError):
+        fp.order = 3
+
+
+def test_named_order4_keys_are_their_factor_products():
+    """(x^2+1)^a (x+1)^b (x-1)^c, for the (a, b, c) of each W(E7) class."""
+    x2p1, xp1, xm1 = (1, 0, 1), (1, 1), (-1, 1)
+    exps = ((2, 2, 1), (1, 3, 2), (2, 1, 2), (1, 2, 3))
+    assert list(_NAMED_ORDER4_E7) == [_poly_from_factors(*[x2p1] * a, *[xp1] * b, *[xm1] * c) for a, b, c in exps]
 
 
 def test_inverse_is_exact():

@@ -199,6 +199,45 @@ MUTANTS = {
         "_mul(_mul(x, g), x)",
         ("tests/test_report_corpus.py::test_report_matches_the_recorded_digest[dp4-p2-3-1-minimal]",),
     ),
+    "dp4-element-equality-ignores-perm": (
+        "dp4.py",
+        "other.sign == self.sign and other.perm == self.perm",
+        "other.sign == self.sign",
+        ("tests/test_dp4.py::test_elements_are_immutable_values",),
+    ),
+    # Sturm bisection
+    "halve-keeps-the-wrong-half": (
+        "realroots.py",
+        "if vlo - vmid == 1:",
+        "if vlo - vmid != 1:",
+        ("tests/test_dp1.py::test_fiber_kinds_against_local_model_oracle",),
+    ),
+    # the interval never shrinks, so tighten_interval loops until the timeout
+    "halve-keeps-the-interval-at-a-root": (
+        "realroots.py",
+        "return mid, mid, None",
+        "return lo, hi, vlo",
+        ("tests/test_realroots.py::test_bisection_stops_at_a_midpoint_root",),
+    ),
+    # fingerprints and the configuration graph
+    "fingerprint-skips-line-0-when-counting-fixed-lines": (
+        "weyl.py",
+        "fixed_line_count=sum(i == j for i, j in enumerate(perm)),",
+        "fixed_line_count=sum(i == j for i, j in enumerate(perm) if i),",
+        ("tests/test_weyl.py::test_fingerprint_counts_match_the_coordinate_images",),
+    ),
+    "fingerprint-fixes-a-trio-that-one-line-maps-into": (
+        "weyl.py",
+        "trios += {perm[i] for i in idx} == idx",
+        "trios += bool({perm[i] for i in idx} & idx)",
+        ("tests/test_weyl.py::test_fingerprint_counts_match_the_coordinate_images",),
+    ),
+    "graph-flags-every-block-real": (
+        "confgraphs.py",
+        "flags = tuple(len(blk) == 1 for blk in blocks)",
+        "flags = tuple(True for blk in blocks)",
+        ("tests/test_confgraphs.py::test_pi21_coloring_and_automorphisms",),
+    ),
 }
 
 

@@ -324,6 +324,9 @@ def requests() -> list[tuple[str, list[str]]]:
         ("dp4-rank-elements-no-identity", ["dp4", "--form", "q31-0-2", "--rank-elements", json.dumps([rank_el(1, 1, 0, 0, 0)])]),
         ("dp4-rank-elements-not-closed", ["dp4", "--form", "q31-0-2", "--rank-elements",
                                           json.dumps([rank_el(0, 0, 0, 0, 0), rank_el(1, 1, 0, 0, 0), rank_el(0, 1, 1, 0, 0)])]),
+        # sigma does not normalize {1, g}, so the character sum gives 5/2
+        ("dp4-rank-elements-not-normalized", ["dp4", "--form", "q31-0-2", "--rank-elements",
+                                              json.dumps([rank_el(0, 0, 0, 0, 0), rank_el(0, 0, 0, 0, 1)])]),
         ("dp4-characteristic-empty", ["dp4", "--characteristic", "[]"]),
         ("dp4-characteristic-zero-pair", ["dp4", "--characteristic", "[[1,0],[0,0]]"]),
         ("dp4-characteristic-coincident", ["dp4", "--characteristic", "[[1,0],[2,0]]"]),
@@ -346,6 +349,10 @@ def requests() -> list[tuple[str, list[str]]]:
         ("invariants-unknown-group", ["invariants", "--group", "q3", "--degree", "2"]),
         ("invariants-z0", ["invariants", "--group", "z0", "--degree", "2"]),
         ("invariants-d0", ["invariants", "--group", "d0", "--degree", "2"]),
+        # the rotations of zN and dN live at conductor lcm(4, N), bounded by 1000
+        ("invariants-z1000", ["invariants", "--group", "z1000", "--degree", "0"]),
+        ("invariants-z251", ["invariants", "--group", "z251", "--degree", "4"]),
+        ("invariants-d1001", ["invariants", "--group", "d1001", "--degree", "4"]),
         ("dp1-rationality", ["dp1", "rationality", "--f4=-2,0,-2,0,-2", "--f6=-1,0,-2,0,-2,0,2"]),
         ("dp1-rationality-not-rational", ["dp1", "rationality", "--f4=z4^1,0,0,0,0", "--f6=1,0,0,0,0,0,1"]),
         *[(f"dp1-rationality-{name}", ["dp1", "rationality", f"--f4={f4}", f"--f6={f6}"]) for name, f4, f6 in FIBER_CASES],
