@@ -1,125 +1,165 @@
-"""Exact integer kernels of the orthogonal-frame scan, on packed bitsets.
+"""Exact integer kernels of the orthogonal-frame scan, on Python-int bitsets.
 
-A vertex set is a row of little-endian uint64 words in which bit v of the
-row stands for vertex v.  `enumerate_cliques` reads all k-cliques off
-level k of `_cliques`, which builds each level from the one below it, a
-whole level at a time; the one-entry cache keeps the last level built, so
-asking for k = 0, 1, 2, ... in turn builds each level once.  `fixed_counts`
-ANDs the packed masks of each frame's rows and counts the bits left.  The
-private helpers turn int rows into the scan's input and its output into
-one frame per count.
+A vertex set is an int whose bit v stands for vertex v.  Level k of a trie
+(`_Level`) holds the k-cliques of a graph in lexicographic order: each
+clique's last vertex, and its candidate set (the vertices its children
+add) as an index into the level's distinct sets, which are few: E8's
+122850 4-frames have 4981 nonempty ones.  `fixed_counts` ANDs each
+frame's mask onto its parent's shared bits.  The private helpers turn int
+rows into the scan's input.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from itertools import accumulate, chain, compress, islice, repeat, takewhile
+from operator import add, and_, itemgetter, mul, not_
 
-import numpy as np
+_CHUNK = 1 << 12  # cliques joined, or ANDed, at once: a bytes join holds a buffer per item
+_BINARY = b"0" + b"1" * 255  # a byte as the binary digit of its truth
 
-_CHUNK = 1 << 12  # rows unpacked to booleans, or ANDed, at once
+
+def _bits(row) -> int:
+    """A boolean row (in a bytes row, nonzero is True) as the int whose bit j is entry j."""
+    raw = row if isinstance(row, bytes) else bytes(map(bool, row))
+    return int(raw.translate(_BINARY)[::-1] or b"0", 2)
 
 
-def _pack(rows: np.ndarray) -> np.ndarray:
-    """Boolean rows (m, n) as little-endian uint64 bitsets (m, ceil(n / 64))."""
-    m, n = rows.shape
-    padded = np.zeros((m, -(-n // 64) * 64), dtype=bool)
-    padded[:, :n] = rows
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+class _Level:
+    """The k-cliques of a graph: clique i ends in vertex last[i] and has the
+    candidate set cands[ids[i]] (cands[0] = 0); the children of a clique of
+    `below` are consecutive, one per candidate.  `_counts` sets `shared`."""
+
+    __slots__ = ("below", "last", "ids", "cands", "shared")
+
+    def __init__(self, below, last: bytes, ids, cands: list[int]):
+        self.below, self.last, self.ids, self.cands, self.shared = below, last, ids, cands, None
+
+    def sizes(self):
+        """Per clique, the number of its children."""
+        return map(list(map(int.bit_count, self.cands)).__getitem__, self.ids)
+
+
+def _grow(below: _Level, nbr: tuple[int, ...]) -> _Level:
+    """The level above below: each distinct candidate set is expanded once,
+    in the graph whose higher-index neighbours of vertex v are nbr[v]."""
+    from array import array  # imported when a scan runs: importing the package loads no extension for it
+
+    index = {0: 0}  # candidate set -> its index in the new level
+    kids_last, kids = [], []  # per candidate set of below: its vertices, and the sets they leave
+    for c in below.cands:
+        verts, rest = [], c
+        while rest:
+            low = rest & -rest
+            verts.append(low.bit_length() - 1)
+            rest ^= low
+        kids_last.append(bytes(verts))
+        kids.append(array("I", [index.setdefault(c & nbr[v], len(index)) for v in verts]).tobytes())
+    last, ids = bytearray(), array("I")
+    for start in range(0, len(below.ids), _CHUNK):
+        part = below.ids[start : start + _CHUNK]
+        last += b"".join(map(kids_last.__getitem__, part))
+        ids.frombytes(b"".join(map(kids.__getitem__, part)))
+    return _Level(below, bytes(last), ids, list(index))
 
 
 @lru_cache(maxsize=1)
-def _cliques(upper_bytes: bytes, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(frames, cands) for every k-clique of the n-vertex graph whose packed
-    higher-index neighbour rows are upper_bytes.
-
-    frames is (m, k) uint8, each row increasing and the rows in
-    lexicographic order; cands[i] holds the vertices above the last of
-    frames[i] that are adjacent to all of it.  Both are read-only.  Level k
-    is sized from the popcounts of level k - 1 and filled _CHUNK parents at
-    a time.
-    """
-    words = -(-n // 64)
+def _cliques(nbr: tuple[int, ...], k: int) -> _Level:
+    """Level k of the graph; the last level built stays cached, so asking
+    for k = 0, 1, 2, ... in turn builds each level once."""
     if k == 0:
         # one clique, the empty one, whose candidates are all vertices
-        frames = np.zeros((1, 0), dtype=np.uint8)
-        cands = _pack(np.ones((1, n), dtype=bool))
-    else:
-        parents, parent_cands = _cliques(upper_bytes, n, k - 1)
-        nbr = np.frombuffer(upper_bytes, dtype="<u8").reshape(n, words)
-        total = int(np.bitwise_count(parent_cands).sum())
-        frames = np.empty((total, k), dtype=np.uint8)
-        cands = np.empty((total, words), dtype=np.uint64)
-        lo = 0
-        for start in range(0, parents.shape[0], _CHUNK):
-            bits = np.unpackbits(parent_cands[start : start + _CHUNK].view(np.uint8), axis=1, bitorder="little")
-            # parents in order, each parent's vertices increasing: rows stay lexicographic
-            p, v = np.divmod(np.flatnonzero(bits.view(bool)), words * 64)
-            p += start
-            hi = lo + p.shape[0]
-            frames[lo:hi, :-1] = parents[p]
-            frames[lo:hi, -1] = v
-            np.bitwise_and(parent_cands[p], nbr[v], out=cands[lo:hi])
-            lo = hi
-    frames.flags.writeable = False
-    cands.flags.writeable = False
-    return frames, cands
+        return _Level(None, b"", [1 if nbr else 0], [0, (1 << len(nbr)) - 1])
+    return _grow(_cliques(nbr, k - 1), nbr)
 
 
-def enumerate_cliques(adj: np.ndarray, k: int, cap: int):
-    """k-cliques of the graph given by boolean matrix adj, capped at cap rows.
+class _Frames:
+    """The first m cliques of a level, read-only: len(), shape (m, k), and
+    frames[i], the vertices of clique i as an increasing list."""
 
-    Returns (frames, truncated); frames is a read-only uint8 array of shape
-    (m, k) with m <= cap, each row in increasing vertex order and the rows
-    in lexicographic order.  truncated is True when a clique exists beyond
-    the cap rows, so a capped scan returns the lexicographic prefix of the
-    full one.  At most 256 vertices fit a uint8 frame; the largest lattice
-    here, E8, has 120 positive roots and at most 122850 frames for any k.
+    __slots__ = ("_level", "_m", "_k")
 
-    The scan always builds the whole level k and the cap only cuts its
-    result.  Levels are shared across k: the last level built stays cached,
-    so a call for k + 1 on the same graph builds one level, and at most two
-    levels and one chunk of the next are alive at once.
-    """
+    def __init__(self, level: _Level, m: int, k: int):
+        self._level, self._m, self._k = level, m, k
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._m, self._k
+
+    def __len__(self) -> int:
+        return self._m
+
+    def __getitem__(self, i: int) -> list[int]:
+        i, row, level = range(self._m)[i], [], self._level
+        while level.below is not None:
+            row.append(level.last[i])
+            # the parent is the first clique below whose children end after i
+            i = sum(1 for _ in takewhile(i.__ge__, accumulate(level.below.sizes())))
+            level = level.below
+        return row[::-1]
+
+
+def enumerate_cliques(adj, k: int, cap: int) -> tuple[_Frames, bool]:
+    """k-cliques of the graph given by the square boolean rows adj: the
+    first m <= cap of them in lexicographic order (see `_Frames`), and
+    whether a clique exists beyond the cap.  The whole level is built and
+    the cap only cuts it.  At most 256 vertices fit a byte; E8 has 120
+    positive roots and at most 122850 frames for any k."""
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
+    n = len(adj)
     if n > 256:
-        raise ValueError(f"at most 256 vertices fit a uint8 frame, got {n}")
-    frames, _ = _cliques(_pack(np.triu(adj, 1)).tobytes(), n, k)
-    return frames[:cap], frames.shape[0] > cap
+        raise ValueError(f"at most 256 vertices fit a byte, got {n}")
+    rows = list(map(_bits, adj))
+    if any(row >> n for row in rows):
+        raise ValueError("adj must be square")
+    level = _cliques(tuple(row >> v + 1 << v + 1 for v, row in enumerate(rows)), k)
+    size = len(level.ids)
+    return _Frames(level, min(size, cap), k), size > cap
 
 
-def fixed_counts(zero_masks: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Per frame, count the mask positions shared by every row of the frame.
+def _counts(level: _Level, key: tuple[tuple[int, ...], int]) -> list[int]:
+    """Per clique of level, how many bits of everything the masks of its
+    vertices share, for key = (masks, everything).  The level below gives
+    up its shared bits as they are used; level keeps those with children."""
+    (masks, everything), below = key, level.below
+    if below is None:
+        level.shared = key, deque([everything] if level.ids[0] else [])
+        return [everything.bit_count()]
+    if below.shared is None or below.shared[0] != key:
+        _counts(below, key)
+    above = below.shared[1]
+    below.shared = None
+    # each parent's shared bits once per child, as (bits,) * size
+    parents = map(mul, zip(map(deque.popleft, repeat(above, len(above)))), filter(None, below.sizes()))
+    ands = map(and_, chain.from_iterable(parents), map(masks.__getitem__, level.last))
+    has_kids = iter(level.ids)
+    counts, shared = [], deque()
+    while chunk := list(islice(ands, _CHUNK)):
+        counts += map(int.bit_count, chunk)
+        shared += compress(chunk, islice(has_kids, len(chunk)))
+    level.shared = key, shared
+    return counts
 
-    zero_masks: (n_rows, n_positions) bool; frames: (m, k) integer row
-    indices, ANDed _CHUNK frames at a time.
-    """
-    m = frames.shape[0]
-    if frames.shape[1] == 0:
-        return np.full(m, zero_masks.shape[1], dtype=np.int64)
-    packed = _pack(np.asarray(zero_masks, dtype=bool))
-    out = np.empty(m, dtype=np.int64)
-    for start in range(0, m, _CHUNK):
-        rows = frames[start : start + _CHUNK]
-        shared = packed[rows[:, 0]]
-        for col in range(1, rows.shape[1]):
-            shared &= packed[rows[:, col]]
-        out[start : start + _CHUNK] = np.bitwise_count(shared).sum(axis=1)
-    return out
+
+def fixed_counts(zero_masks, frames: _Frames) -> list[int]:
+    """Per frame of enumerate_cliques, count the positions shared by the
+    zero_masks rows (booleans, one per vertex) of all its vertices."""
+    width = len(zero_masks[0]) if len(zero_masks) else 0
+    counts = _counts(frames._level, (tuple(map(_bits, zero_masks)), (1 << width) - 1))
+    del counts[len(frames) :]
+    return counts
 
 
-def _orthogonal(rows, gram, cols) -> np.ndarray:
-    """Boolean matrix whose (i, j) entry says row i of rows is orthogonal to
+def _orthogonal(rows, gram, cols) -> list[bytes]:
+    """Boolean rows whose entry (i, j) says row i of rows is orthogonal to
     row j of cols under the int-row form gram."""
-    a = np.array(rows, dtype=np.int64)
-    b = np.array(cols, dtype=np.int64)
-    return (a @ np.array(gram, dtype=np.int64) @ b.T) == 0
-
-
-def _first_frames(counts: np.ndarray, frames: np.ndarray) -> list[tuple[int, list[int]]]:
-    """Each distinct count, largest first, with the vertices of the first
-    frame that has it."""
-    values, first = np.unique(counts, return_index=True)  # increasing counts
-    return [(c, frames[i].tolist()) for c, i in zip(values[::-1].tolist(), first[::-1].tolist())]
+    images = list(zip(*[[sum(map(mul, g, col)) for g in gram] for col in cols]))  # [i][j]: (gram col_j)_i
+    out = []
+    for row in rows:
+        dots = repeat(0, len(cols))
+        for x, image in filter(itemgetter(0), zip(row, images)):
+            dots = map(add, dots, map(mul, image, repeat(x)))
+        out.append(bytes(map(not_, dots)))
+    return out

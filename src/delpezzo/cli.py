@@ -9,7 +9,7 @@ arguments (or nested leaves, for `dp1`); the handler of `a b` is `cmd_a_b`.
 A request pays only for its subcommand: `build_parser` adds just the
 subcommand (and leaf) that argv names, and each handler imports the
 modules it uses when it runs, so `import delpezzo.cli` loads no other
-package module, no numpy and no `fractions`.  `table --id N` runs
+package module and no `fractions`.  `table --id N` runs
 `tables._TABLES[N]`, which lives beside the expected values it checks.
 """
 

@@ -246,9 +246,9 @@ def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> tuple[tupl
 # invariant rank and the counting shortcuts
 
 
-def dp4_invariant_rank(subgroup, form: DP4RealForm):
-    """Character-formula rank over {1, sigma} x subgroup: an int, or an exact
-    Fraction when sigma does not normalize the subgroup."""
+def dp4_invariant_rank(subgroup, form: DP4RealForm) -> int:
+    """Character-formula rank over the group {1, sigma} x subgroup; NotAGroup
+    unless the subgroup is one that sigma (an involution) normalizes."""
     elems = list(subgroup)
     codes = [_code(g) for g in elems]
     if not any(g.is_identity() for g in elems):
@@ -258,16 +258,18 @@ def dp4_invariant_rank(subgroup, form: DP4RealForm):
     if any(_coset(members, y) & ~bits for y in codes):
         g, h = next((g, h) for g, x in zip(elems, codes) for h, y in zip(elems, codes) if not bits >> _mul(x, y) & 1)
         raise NotAGroup(f"set is not closed: {json.dumps(g.to_json())} * {json.dumps(h.to_json())} missing")
+    sigma = _code(form.sigma)
+    for g, x in zip(elems, codes):
+        if not bits >> _mul(_mul(sigma, x), sigma) & 1:
+            raise NotAGroup(f"sigma does not normalize the set: sigma * {json.dumps(g.to_json())} * sigma missing")
     total = 0
     for g in elems:
         for m in (dp4_matrix(g, form), dp4_matrix(g, form, with_sigma=True)):
             total += sum(m[i][i] for i in range(6)) - 1
     rank, rem = divmod(total, 2 * len(elems))
-    if not rem:
-        return 1 + rank
-    from fractions import Fraction
-
-    return 1 + Fraction(total, 2 * len(elems))
+    if rem:
+        raise ArithmeticError(f"character average {total}/{2 * len(elems)} over a group is not an integer")
+    return 1 + rank
 
 
 def delta_criterion(subgroup, form: DP4RealForm) -> bool:

@@ -409,6 +409,15 @@ def frame_matrix(lat: PicardLattice, roots) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, mat))
 
 
+@lru_cache(maxsize=None)
+def _orthogonality(gram, roots: tuple, lines: tuple) -> tuple[list[bytes], list[bytes]]:
+    """The orthogonality rows of the roots, and per root the lines
+    orthogonal to it: exactly the lines its reflection fixes."""
+    from . import _kernels
+
+    return _kernels._orthogonal(roots, gram, roots), _kernels._orthogonal(roots, gram, lines)
+
+
 def involution_frames(lat: PicardLattice, k: int, budget: int = 200000) -> FrameScan:
     """Distinct fingerprints of products of reflections in k orthogonal roots.
 
@@ -425,13 +434,12 @@ def involution_frames(lat: PicardLattice, k: int, budget: int = 200000) -> Frame
     from . import _kernels
 
     pos = _positive_roots(lat)
-    frames, truncated = _kernels.enumerate_cliques(_kernels._orthogonal(pos, lat.gram, pos), k, budget)
-    # lines orthogonal to a root are exactly the lines fixed by its reflection
-    lines = [e.coords for e in enumerate_exceptional(lat)]
-    counts = _kernels.fixed_counts(_kernels._orthogonal(pos, lat.gram, lines), frames)
+    adj, masks = _orthogonality(lat.gram, tuple(pos), tuple(e.coords for e in enumerate_exceptional(lat)))
+    frames, truncated = _kernels.enumerate_cliques(adj, k, budget)
+    counts = _kernels.fixed_counts(masks, frames)
     fps = []
-    for c, frame in _kernels._first_frames(counts, frames):
-        iso = Isometry(lat, frame_matrix(lat, [pos[i] for i in frame]))
+    for c in sorted(set(counts), reverse=True):  # each count with the first frame that has it
+        iso = Isometry(lat, frame_matrix(lat, [pos[i] for i in frames[counts.index(c)]]))
         fp = fingerprint(lat, iso)
         if fp.fixed_line_count != c:
             raise ArithmeticError(

@@ -7,6 +7,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from delpezzo import colorgraph
 from delpezzo.dp1 import (
@@ -21,10 +22,12 @@ from delpezzo.dp1 import (
 from delpezzo.dp4 import (
     DP4Element,
     IDENTITY,
+    NotAGroup,
     all_subgroups,
     ambient_group,
     delta_criterion,
     dp4_invariant_rank,
+    dp4_matrix,
     dp4_matrix_geometric,
     enumerate_strongly_minimal,
     get_form,
@@ -218,7 +221,14 @@ def test_criterion_08_delta_star_equivalence():
         for form_label in ("p2_31", "q22_02"):
             form = get_form(form_label)
             for sub in subgroups:
-                assert delta_criterion(sub, form) == (dp4_invariant_rank(sub, form) == 1)
+                # the mean trace over {1, sigma} x sub; the rank where sigma normalizes sub
+                traces = [np.trace(dp4_matrix(g, form, with_sigma)) for g in sub for with_sigma in (False, True)]
+                assert delta_criterion(sub, form) == (sum(traces) == len(traces))
+                if {form.sigma * g * form.sigma for g in sub} == sub:
+                    assert dp4_invariant_rank(sub, form) * len(traces) == sum(traces)
+                else:
+                    with pytest.raises(NotAGroup):
+                        dp4_invariant_rank(sub, form)
         q31 = get_form("q31_02")
         a_o = [g for g in a_elements if g.sign[3] == g.sign[4]]
         for sub in all_subgroups(a_o):

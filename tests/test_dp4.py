@@ -238,6 +238,24 @@ def test_invariant_rank_examples():
         dp4_invariant_rank({IDENTITY, g}, q31)
 
 
+def test_invariant_rank_refuses_a_group_that_sigma_does_not_normalize():
+    """{1, sigma} x H is a group only when sigma normalizes H: on q31_02,
+    sigma swaps sign bits 4 and 5, so the order-2 group of sign (0,0,0,0,1)
+    is refused (its character average was 5/2), and the group that adds the
+    swapped sign gets the dimension its group fixes."""
+    q31 = get_form("q31_02")
+    assert all((form.sigma * form.sigma).is_identity() for form in REAL_FORMS.values())
+    one = DP4Element.from_json({"sign": [0, 0, 0, 0, 1], "perm": [1, 2, 3, 4, 5]})
+    with pytest.raises(NotAGroup, match="sigma does not normalize"):
+        dp4_invariant_rank({IDENTITY, one}, q31)
+    other = q31.sigma * one * q31.sigma
+    assert other != one
+    group = {IDENTITY, one, other, one * other}
+    # the dimension fixed by the group that sigma and the subgroup generate
+    moved = [np.array(dp4_matrix(g, q31, with_sigma)) - np.eye(6) for g in group for with_sigma in (False, True)]
+    assert dp4_invariant_rank(group, q31) == 6 - np.linalg.matrix_rank(np.vstack(moved)) == 2
+
+
 def test_split_enumeration_is_refused_before_any_subgroup_search(monkeypatch):
     from delpezzo import dp4
 
@@ -276,14 +294,28 @@ def test_star_condition_examples():
     assert not star_condition({(0, 0, 0, 0, 0), (1, 0, 1, 1, 1)})
 
 
+def _character_average(sub, form):
+    """The mean trace over {1, sigma} x sub, as a Fraction."""
+    traces = [np.trace(dp4_matrix(g, form, with_sigma)) for g in sub for with_sigma in (False, True)]
+    return Fraction(int(sum(traces)), len(traces))
+
+
 def test_delta_equals_rank_exhaustively():
-    """Spec property: the counting shortcut agrees with the rank computation
-    on every subgroup of A, for both applicable forms."""
+    """Spec property: the counting shortcut agrees with the character
+    average over {1, sigma} x H on every subgroup H of A, for both
+    applicable forms; the rank is that average where sigma normalizes H,
+    and refused where it does not."""
     subgroups = all_subgroups(_a_elements())
     for form_label in ("p2_31", "q22_02"):
         form = get_form(form_label)
         for sub in subgroups:
-            assert delta_criterion(sub, form) == (dp4_invariant_rank(sub, form) == 1)
+            average = _character_average(sub, form)
+            assert delta_criterion(sub, form) == (average == 1)
+            if {form.sigma * g * form.sigma for g in sub} == sub:
+                assert dp4_invariant_rank(sub, form) == average
+            else:
+                with pytest.raises(NotAGroup):
+                    dp4_invariant_rank(sub, form)
 
 
 def test_star_implies_nonminimal_on_sphere():

@@ -1,5 +1,5 @@
 from array import array
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -8,6 +8,20 @@ from delpezzo import _kernels
 from delpezzo._kernels import enumerate_cliques, fixed_counts
 from delpezzo.picard import PicardLattice, enumerate_exceptional
 from delpezzo.weyl import _positive_roots, frame_matrix
+
+
+def _rows(frames):
+    """Every frame as a list of vertices, read off the clique trie level by
+    level (indexing walks down from each frame alone)."""
+    rows, level = [[]], frames._level
+    levels = []
+    while level.below is not None:
+        levels.append(level)
+        level = level.below
+    for level in reversed(levels):
+        kids = iter(level.last)
+        rows = [row + [v] for row, size in zip(rows, level.below.sizes()) for v in islice(kids, size)]
+    return rows[: len(frames)]
 
 
 def _data(degree):
@@ -22,18 +36,17 @@ def _data(degree):
 def _cliques_by_combinations(adj, k):
     """k-subsets in lexicographic order, kept when pairwise adjacent."""
     rows = adj.tolist()
-    found = [
-        c
+    return [
+        list(c)
         for c in combinations(range(len(rows)), k)
         if all(rows[a][b] for a, b in combinations(c, 2))
     ]
-    return np.array(found, dtype=np.int32).reshape(len(found), k)
 
 
 def _cliques_by_recursion(adj, k, cap):
     """The depth-first scan with Python ints as vertex bitsets."""
     if k == 0:
-        return np.zeros((1, 0), dtype=np.int32), False
+        return [[]], False
     upper = np.triu(np.asarray(adj, dtype=bool), 1)
     nbr = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in upper]
     flat = array("i")
@@ -56,22 +69,15 @@ def _cliques_by_recursion(adj, k, cap):
         return False
 
     truncated = rec((), (1 << upper.shape[0]) - 1)
-    return np.array(flat, dtype=np.int32).reshape(-1, k), truncated
+    return [flat[i : i + k].tolist() for i in range(0, len(flat), k)], truncated
 
 
 def _fixed_counts_by_bools(zero_masks, frames):
-    """Shared mask positions per frame, one boolean gather per chunk of frames."""
-    m = frames.shape[0]
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    if frames.shape[1] == 0:
-        return np.full(m, zero_masks.shape[1], dtype=np.int64)
-    out = np.empty(m, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, zero_masks.shape[1] * frames.shape[1]))
-    for start in range(0, m, chunk):
-        sel = zero_masks[frames[start : start + chunk]]
-        out[start : start + chunk] = sel.all(axis=1).sum(axis=1)
-    return out
+    """Shared mask positions per frame, one boolean gather per frame."""
+    zero_masks = np.asarray(zero_masks, dtype=bool)
+    if not frames or not frames[0]:
+        return [zero_masks.shape[1]] * len(frames)
+    return zero_masks[np.array(frames)].all(axis=1).sum(axis=1).tolist()
 
 
 def _random_graph(rng, n):
@@ -79,12 +85,11 @@ def _random_graph(rng, n):
     return upper | upper.T
 
 
-def _assert_same_scan(got, want):
+def _assert_same_scan(got, want, k):
     (frames, truncated), (ref, ref_truncated) = got, want
-    assert frames.dtype == np.uint8
-    assert frames.shape == ref.shape
-    assert frames.flags.c_contiguous
-    assert frames.tolist() == ref.tolist()
+    assert frames.shape == (len(ref), k) and len(frames) == len(ref)
+    assert _rows(frames) == ref
+    assert [frames[i] for i in range(0, len(ref), 1 + len(ref) // 7)] == ref[:: 1 + len(ref) // 7]
     assert truncated is ref_truncated
 
 
@@ -93,9 +98,9 @@ def _check_against_recursion(rng, trials):
         n = int(rng.integers(0, 41))
         adj = _random_graph(rng, n)
         for k in range(7):
-            total = _cliques_by_recursion(adj, k, 10**6)[0].shape[0]
+            total = len(_cliques_by_recursion(adj, k, 10**6)[0])
             for cap in sorted({1, 2, max(1, total - 1), max(1, total), total + 1, 10**6}):
-                _assert_same_scan(enumerate_cliques(adj, k, cap), _cliques_by_recursion(adj, k, cap))
+                _assert_same_scan(enumerate_cliques(adj, k, cap), _cliques_by_recursion(adj, k, cap), k)
 
 
 def test_cliques_match_the_recursion_on_random_graphs():
@@ -115,7 +120,7 @@ def test_cached_levels_belong_to_their_graph():
     assert graphs[0].tobytes() != graphs[1].tobytes()
     for k in (1, 2, 3, 3, 4, 2, 5):
         for adj in graphs:
-            _assert_same_scan(enumerate_cliques(adj, k, 10**6), _cliques_by_recursion(adj, k, 10**6))
+            _assert_same_scan(enumerate_cliques(adj, k, 10**6), _cliques_by_recursion(adj, k, 10**6), k)
 
 
 def test_cached_levels_in_any_order():
@@ -123,42 +128,94 @@ def test_cached_levels_in_any_order():
     equals a warm one."""
     _, _, adj, _ = _data(1)
     for k in (8, 3, 5, 3):
-        _assert_same_scan(enumerate_cliques(adj, k, 10**6), _cliques_by_recursion(adj, k, 10**6))
+        _assert_same_scan(enumerate_cliques(adj, k, 10**6), _cliques_by_recursion(adj, k, 10**6), k)
     warm, _ = enumerate_cliques(adj, 8, 10**6)
     _kernels._cliques.cache_clear()
     cold, _ = enumerate_cliques(adj, 8, 10**6)
     assert cold.shape == (2025, 8)
-    assert cold.tobytes() == warm.tobytes()
+    assert _rows(cold) == _rows(warm)
+
+
+@pytest.mark.parametrize(
+    "degree, sizes",
+    [
+        (3, [1, 36, 270, 540, 135, 0, 0]),
+        (2, [1, 63, 945, 4095, 4725, 2835, 945, 135]),
+        (1, [1, 120, 3780, 37800, 122850, 113400, 56700, 16200, 2025]),
+    ],
+)
+def test_frames_per_k_of_e6_e7_e8(degree, sizes):
+    """The number of k-frames of orthogonal positive roots, k = 0..r, as
+    the numpy scan counted them."""
+    _, _, adj, _ = _data(degree)
+    assert [len(enumerate_cliques(adj, k, 10**6)[0]) for k in range(len(sizes))] == sizes
 
 
 def test_scanned_frames_are_read_only():
     _, _, adj, _ = _data(3)
     for k in (2, 3):
         frames, _ = enumerate_cliques(adj, k, 10**6)
-        assert not frames.flags.writeable
-        with pytest.raises(ValueError):
-            frames[0, 0] = 1
-    cached = _kernels._cliques(_kernels._pack(np.triu(adj, 1)).tobytes(), adj.shape[0], 3)
-    assert not any(a.flags.writeable for a in cached)
+        first = frames[0]
+        with pytest.raises(TypeError):
+            frames[0] = [0] * k
+        with pytest.raises(AttributeError):
+            frames.shape = (1, k)
+        first[0] = -1  # a row is the caller's copy
+        assert frames[0][0] != -1 and frames[0] == _cliques_by_combinations(adj, k)[0]
+
+
+def test_frames_index_like_a_sequence():
+    _, _, adj, _ = _data(3)
+    frames, _ = enumerate_cliques(adj, 3, 10**6)
+    rows = _cliques_by_combinations(adj, 3)
+    assert frames[-1] == rows[-1] and frames[-len(rows)] == rows[0]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            frames[i]
+    capped, _ = enumerate_cliques(adj, 3, 5)
+    assert capped[-1] == rows[4]
+    with pytest.raises(IndexError):
+        capped[5]
 
 
 def test_frames_hold_at_most_256_vertices():
     frames, truncated = enumerate_cliques(np.zeros((256, 256), dtype=bool), 1, 300)
-    assert frames[:, 0].tolist() == list(range(256)) and not truncated
+    assert [row[0] for row in _rows(frames)] == list(range(256)) and not truncated
     with pytest.raises(ValueError):
         enumerate_cliques(np.zeros((257, 257), dtype=bool), 1, 300)
 
 
+def test_adjacency_must_be_square():
+    with pytest.raises(ValueError):
+        enumerate_cliques(np.ones((3, 4), dtype=bool), 1, 10)
+    # a row shorter than the graph has no edge beyond it
+    frames, _ = enumerate_cliques([[False, True], [True]], 2, 10)
+    assert _rows(frames) == [[0, 1]]
+
+
 def test_fixed_counts_match_the_boolean_gather():
+    """Random graphs and masks, with k asked upwards (each level counted
+    onto the one below), again, downwards and with other masks."""
     rng = np.random.default_rng(5)
     for width in (0, 1, 63, 64, 65, 127, 128, 240):
-        n_rows = int(rng.integers(1, 30))
-        masks = rng.random((n_rows, width)) < rng.uniform(0.3, 0.95)
-        for k in range(5):
-            frames = rng.integers(0, n_rows, size=(int(rng.integers(0, 50)), k)).astype(np.int32)
-            counts = fixed_counts(masks, frames)
-            assert counts.dtype == np.int64
-            assert counts.tolist() == _fixed_counts_by_bools(masks, frames).tolist(), (width, k)
+        n = int(rng.integers(1, 30))
+        adj = _random_graph(rng, n)
+        masks = [rng.random((n, width)) < rng.uniform(0.3, 0.95) for _ in range(2)]
+        for k in (0, 1, 2, 3, 4, 4, 2, 5, 3):
+            frames, _ = enumerate_cliques(adj, k, 10**6)
+            for m in masks:
+                counts = fixed_counts(m, frames)
+                assert counts == _fixed_counts_by_bools(m, _rows(frames)), (width, k)
+
+
+def test_fixed_counts_across_chunks(monkeypatch):
+    monkeypatch.setattr(_kernels, "_CHUNK", 3)
+    rng = np.random.default_rng(9)
+    adj = _random_graph(rng, 25)
+    masks = rng.random((25, 70)) < 0.7
+    for k in range(6):
+        frames, _ = enumerate_cliques(adj, k, 10**6)
+        assert fixed_counts(masks, frames) == _fixed_counts_by_bools(masks, _rows(frames)), k
 
 
 def test_clique_paths_agree():
@@ -167,16 +224,18 @@ def test_clique_paths_agree():
         for k in ks:
             frames, truncated = enumerate_cliques(adj, k, 10**6)
             assert not truncated
-            assert frames.dtype == np.uint8
-            assert frames.tolist() == _cliques_by_combinations(adj, k).tolist(), (degree, k)
+            assert _rows(frames) == _cliques_by_combinations(adj, k), (degree, k)
 
 
 def test_clique_cap_truncates():
-    _, _, adj, _ = _data(2)
+    """A capped scan is the lexicographic prefix of the full one, and its
+    counts are the prefix of the full counts."""
+    _, _, adj, masks = _data(2)
     frames, truncated = enumerate_cliques(adj, 3, 10)
     assert truncated and frames.shape == (10, 3)
     full, _ = enumerate_cliques(adj, 3, 10**6)
-    assert np.array_equal(frames, full[:10])
+    assert _rows(frames) == _rows(full)[:10]
+    assert fixed_counts(masks, frames) == fixed_counts(masks, full)[:10]
 
 
 def test_clique_cap_flags_only_a_clique_beyond_it():
@@ -210,14 +269,23 @@ def test_fixed_count_paths_agree():
     lat, pos, adj, masks = _data(2)
     frames, _ = enumerate_cliques(adj, 3, 10**6)
     counts = fixed_counts(masks, frames)
-    expected = [_count_fixed_lines(lat, np.array(frame_matrix(lat, pos[f]))) for f in frames]
-    assert counts.dtype == np.int64
-    assert counts.tolist() == expected
+    expected = [_count_fixed_lines(lat, np.array(frame_matrix(lat, pos[f]))) for f in _rows(frames)]
+    assert counts == expected
+
+
+def test_orthogonal_rows_match_the_matrix_product():
+    lat, pos, adj, masks = _data(1)
+    lines = [e.coords for e in enumerate_exceptional(lat)]
+    assert _kernels._orthogonal(pos.tolist(), lat.gram, pos.tolist()) == [bytes(row) for row in adj]
+    assert _kernels._orthogonal(pos.tolist(), lat.gram, lines) == [bytes(row) for row in masks]
 
 
 def test_edge_cases():
     _, _, adj, masks = _data(2)
     empty, truncated = enumerate_cliques(adj, 0, 10)
-    assert empty.shape == (1, 0) and not truncated
-    assert list(fixed_counts(masks, empty)) == [masks.shape[1]]
-    assert fixed_counts(masks, np.zeros((0, 2), dtype=np.int32)).shape == (0,)
+    assert empty.shape == (1, 0) and _rows(empty) == [[]] and not truncated
+    assert fixed_counts(masks, empty) == [masks.shape[1]]
+    frames, truncated = enumerate_cliques(np.zeros((0, 0), dtype=bool), 0, 10)
+    assert _rows(frames) == [[]] and not truncated
+    assert enumerate_cliques(np.zeros((0, 0), dtype=bool), 1, 10)[0].shape == (0, 1)
+    assert fixed_counts(np.zeros((0, 5), dtype=bool), enumerate_cliques([], 1, 10)[0]) == []

@@ -67,32 +67,57 @@ MUTANTS = {
         "if False:",
         ("tests/test_report_corpus.py::test_report_matches_the_recorded_digest[minimal-sigma-order-6]",),
     ),
-    # the clique levels shared across k
+    # the clique levels shared across k, and the ANDs shared across levels
     "clique-cache-ignores-the-graph": (
         "_kernels.py",
         "@lru_cache(maxsize=1)\ndef _cliques(",
         "def _keyed_on_size(build):\n"
         "    levels = {}\n\n"
-        "    def cached(upper_bytes, n, k):\n"
-        "        if (n, k) not in levels:\n"
-        "            levels[n, k] = build(upper_bytes, n, k)\n"
-        "        return levels[n, k]\n\n"
+        "    def cached(nbr, k):\n"
+        "        if (len(nbr), k) not in levels:\n"
+        "            levels[len(nbr), k] = build(nbr, k)\n"
+        "        return levels[len(nbr), k]\n\n"
         "    cached.cache_clear = levels.clear\n"
         "    return cached\n\n\n"
         "@_keyed_on_size\ndef _cliques(",
         ("tests/test_kernels.py::test_cached_levels_belong_to_their_graph",),
     ),
-    "clique-chunk-offset-dropped": (
+    "candidate-set-keeps-the-vertex-just-added": (
         "_kernels.py",
-        "            p += start\n",
-        "",
-        ("tests/test_kernels.py::test_cliques_match_the_recursion_across_chunks",),
+        "index.setdefault(c & nbr[v], len(index))",
+        "index.setdefault(c & (nbr[v] | 1 << v), len(index))",
+        ("tests/test_kernels.py::test_cliques_match_the_recursion_on_random_graphs",),
     ),
-    "cached-frames-writable": (
+    "counts-and-against-the-wrong-parent": (
         "_kernels.py",
-        "    frames.flags.writeable = False\n",
-        "",
-        ("tests/test_kernels.py::test_scanned_frames_are_read_only",),
+        "repeat(above, len(above)))), filter(None, below.sizes()))",
+        "repeat(above, len(above)))), below.sizes())",
+        ("tests/test_kernels.py::test_fixed_counts_match_the_boolean_gather",),
+    ),
+    "counts-reuse-the-ands-of-other-masks": (
+        "_kernels.py",
+        "if below.shared is None or below.shared[0] != key:",
+        "if below.shared is None:",
+        ("tests/test_kernels.py::test_fixed_counts_match_the_boolean_gather",),
+    ),
+    "cap-cuts-one-frame-early": (
+        "_kernels.py",
+        "_Frames(level, min(size, cap), k)",
+        "_Frames(level, min(size, cap - 1), k)",
+        ("tests/test_kernels.py::test_clique_cap_flags_only_a_clique_beyond_it",),
+    ),
+    "frame-row-takes-the-next-parent": (
+        "_kernels.py",
+        "takewhile(i.__ge__, ",
+        "takewhile(i.__gt__, ",
+        ("tests/test_kernels.py::test_frames_index_like_a_sequence",),
+    ),
+    # the dp4 rank refuses a set that sigma does not normalize
+    "dp4-rank-skips-the-normalizer-check": (
+        "dp4.py",
+        "if not bits >> _mul(_mul(sigma, x), sigma) & 1:",
+        "if False:",
+        ("tests/test_dp4.py::test_invariant_rank_refuses_a_group_that_sigma_does_not_normalize",),
     ),
     # CycloNum products and sums
     "rational-test-on-y-ignores-the-first-entry": (
