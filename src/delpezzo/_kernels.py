@@ -75,23 +75,23 @@ def _cliques(nbr: tuple[int, ...], k: int) -> _Level:
 
 
 class _Frames:
-    """The first m cliques of a level, read-only: len(), shape (m, k), and
+    """The cliques of a level, read-only: len(), shape (len, k), and
     frames[i], the vertices of clique i as an increasing list."""
 
-    __slots__ = ("_level", "_m", "_k")
+    __slots__ = ("_level", "_k")
 
-    def __init__(self, level: _Level, m: int, k: int):
-        self._level, self._m, self._k = level, m, k
+    def __init__(self, level: _Level, k: int):
+        self._level, self._k = level, k
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._m, self._k
+        return len(self), self._k
 
     def __len__(self) -> int:
-        return self._m
+        return len(self._level.ids)
 
     def __getitem__(self, i: int) -> list[int]:
-        i, row, level = range(self._m)[i], [], self._level
+        i, row, level = range(len(self))[i], [], self._level
         while level.below is not None:
             row.append(level.last[i])
             # the parent is the first clique below whose children end after i
@@ -100,23 +100,19 @@ class _Frames:
         return row[::-1]
 
 
-def enumerate_cliques(adj, k: int, cap: int) -> tuple[_Frames, bool]:
-    """k-cliques of the graph given by the square boolean rows adj: the
-    first m <= cap of them in lexicographic order (see `_Frames`), and
-    whether a clique exists beyond the cap.  The whole level is built and
-    the cap only cuts it.  At most 256 vertices fit a byte; E8 has 120
-    positive roots and at most 122850 frames for any k."""
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
+def enumerate_cliques(adj, k: int, cap=None) -> tuple[_Frames, bool]:
+    """All k-cliques of the graph given by the square boolean rows adj, in
+    lexicographic order (see `_Frames`), and False: no clique is left out.
+    `cap` is ignored; perfbench/micro.py passes it.  At most 256 vertices
+    fit a byte; E8 has 120 positive roots and at most 122850 frames for
+    any k."""
     n = len(adj)
     if n > 256:
         raise ValueError(f"at most 256 vertices fit a byte, got {n}")
     rows = list(map(_bits, adj))
     if any(row >> n for row in rows):
         raise ValueError("adj must be square")
-    level = _cliques(tuple(row >> v + 1 << v + 1 for v, row in enumerate(rows)), k)
-    size = len(level.ids)
-    return _Frames(level, min(size, cap), k), size > cap
+    return _Frames(_cliques(tuple(row >> v + 1 << v + 1 for v, row in enumerate(rows)), k), k), False
 
 
 def _counts(level: _Level, key: tuple[tuple[int, ...], int]) -> list[int]:
@@ -147,9 +143,7 @@ def fixed_counts(zero_masks, frames: _Frames) -> list[int]:
     """Per frame of enumerate_cliques, count the positions shared by the
     zero_masks rows (booleans, one per vertex) of all its vertices."""
     width = len(zero_masks[0]) if len(zero_masks) else 0
-    counts = _counts(frames._level, (tuple(map(_bits, zero_masks)), (1 << width) - 1))
-    del counts[len(frames) :]
-    return counts
+    return _counts(frames._level, (tuple(map(_bits, zero_masks)), (1 << width) - 1))
 
 
 def _orthogonal(rows, gram, cols) -> list[bytes]:

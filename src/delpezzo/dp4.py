@@ -246,9 +246,10 @@ def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> tuple[tupl
 # invariant rank and the counting shortcuts
 
 
-def dp4_invariant_rank(subgroup, form: DP4RealForm) -> int:
-    """Character-formula rank over the group {1, sigma} x subgroup; NotAGroup
-    unless the subgroup is one that sigma (an involution) normalizes."""
+def _normalized_by_sigma(subgroup, form: DP4RealForm) -> list[DP4Element]:
+    """The elements of subgroup; NotAGroup unless they form a group that the
+    form's sigma (an involution) normalizes, so that {1, sigma} x subgroup
+    is a group."""
     elems = list(subgroup)
     codes = [_code(g) for g in elems]
     if not any(g.is_identity() for g in elems):
@@ -262,6 +263,13 @@ def dp4_invariant_rank(subgroup, form: DP4RealForm) -> int:
     for g, x in zip(elems, codes):
         if not bits >> _mul(_mul(sigma, x), sigma) & 1:
             raise NotAGroup(f"sigma does not normalize the set: sigma * {json.dumps(g.to_json())} * sigma missing")
+    return elems
+
+
+def dp4_invariant_rank(subgroup, form: DP4RealForm) -> int:
+    """Character-formula rank over the group {1, sigma} x subgroup; NotAGroup
+    unless the subgroup is one that sigma normalizes."""
+    elems = _normalized_by_sigma(subgroup, form)
     total = 0
     for g in elems:
         for m in (dp4_matrix(g, form), dp4_matrix(g, form, with_sigma=True)):
@@ -275,10 +283,12 @@ def dp4_invariant_rank(subgroup, form: DP4RealForm) -> int:
 def delta_criterion(subgroup, form: DP4RealForm) -> bool:
     """The published counting shortcut for strong minimality on P^2_R(3,1)
     and Q_{2,2}(0,2): delta_i / epsilon_i count bit values at positions 1-3
-    and 4-5 over all elements."""
+    and 4-5 over all elements.  NotAGroup, as for the rank, unless the
+    subgroup (elements or sign vectors of A) is one that sigma normalizes."""
     if form.label not in ("p2_31", "q22_02"):
         raise UnsupportedForm("delta criterion applies to p2_31 and q22_02")
-    vecs = [_check_sign(g.sign if isinstance(g, DP4Element) else g) for g in subgroup]
+    elems = _normalized_by_sigma((g if isinstance(g, DP4Element) else sign_vector(g) for g in subgroup), form)
+    vecs = [_check_sign(g.sign) for g in elems]
     delta0 = sum(1 for v in vecs for i in range(3) if v[i] == 0)
     delta1 = sum(1 for v in vecs for i in range(3) if v[i] == 1)
     eps0 = sum(1 for v in vecs for i in range(3, 5) if v[i] == 0)

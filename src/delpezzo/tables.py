@@ -4,8 +4,8 @@ Every value carries a provenance tag ("table:N:row") surfaced in reports,
 so each number can be audited against its published source.  Table N is
 recomputed by `_TABLES[N]`, which sits beside the values it checks and
 returns `(results, checks)`; `cli.reproduce_table` wraps them in a report.
-Each takes `partial`, a list that collects the k of every frame scan that
-stopped at its budget, and imports the modules it uses when it runs.
+Each imports the modules it uses when it runs.  Tables 3, 4, 6 and 7 scan
+every frame of each k they ask for, so no check stands on a partial scan.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ def _check(name, expected, actual, source=None):
     return entry
 
 
-def _scan(degree, ks, key, partial):
+def _scan(degree, ks, key):
     """{k: sorted key(fingerprint) over the involutions of k-frames}."""
     from .picard import PicardLattice
     from .weyl import involution_frames
@@ -28,10 +28,7 @@ def _scan(degree, ks, key, partial):
     lat = PicardLattice(degree)
     out = {}
     for k in ks:
-        scan = involution_frames(lat, k)
-        if not scan.exhausted:
-            partial.append(k)
-        out[k] = sorted(key(fp) for fp in scan.fingerprints)
+        out[k] = sorted(key(fp) for fp in involution_frames(lat, k).fingerprints)
     return out
 
 
@@ -43,7 +40,7 @@ WEYL_ORDERS = {
 }
 
 
-def _table_1(partial):
+def _table_1():
     from .weyl import full_weyl_group  # cached: the second call per degree is a lookup
 
     checks = [
@@ -87,7 +84,7 @@ HEXAGON_FORMS = {
 }
 
 
-def _table_2(partial):
+def _table_2():
     from .confgraphs import build_graph, hexagon_minimal_subgroups, hexagon_sigma_isometry
     from .minimality import invariant_rank
     from .picard import PicardLattice
@@ -120,9 +117,9 @@ CUBIC_REAL_PAIRS = [
 ]
 
 
-def _table_3(partial):
+def _table_3():
     key = attrgetter("fixed_line_count", "fixed_trio_count")
-    pairs = _scan(3, [row["k"] for row in CUBIC_REAL_PAIRS], key, partial)
+    pairs = _scan(3, [row["k"] for row in CUBIC_REAL_PAIRS], key)
     results = {row["label"]: pairs[row["k"]] for row in CUBIC_REAL_PAIRS}
     checks = [
         _check(f"k_{row['k']}_pairs", [list(row["pair"])], [list(p) for p in pairs[row["k"]]], row["source"])
@@ -177,10 +174,10 @@ DP4_FORMS = [
 ]
 
 
-def _table_4(partial):
+def _table_4():
     from .dp4 import PencilSpec, wall_characteristic
 
-    counts = {k: c[::-1] for k, c in _scan(4, range(4), attrgetter("fixed_line_count"), partial).items()}
+    counts = {k: c[::-1] for k, c in _scan(4, range(4), attrgetter("fixed_line_count")).items()}
     checks = []
     for k, got in counts.items():
         want = sorted((row["real_lines"] for row in DP4_FORMS if row["k"] == k), reverse=True)
@@ -200,7 +197,7 @@ CLEBSCH_REAL_LINES = {
 }
 
 
-def _table_5(partial):
+def _table_5():
     from .explicitlines import clebsch_lines, clebsch_twist, count_real_lines
 
     lines = clebsch_lines()
@@ -229,10 +226,10 @@ DP2_PAIRS = [
 ]
 
 
-def _trace_line_pairs(degree, rows, partial):
+def _trace_line_pairs(degree, rows):
     """(trace on K-perp, fixed lines) of the involutions of every k-frame,
     k = 0 .. 9 - degree, checked to contain every published row."""
-    per_k = _scan(degree, range(10 - degree), attrgetter("trace_kperp", "fixed_line_count"), partial)
+    per_k = _scan(degree, range(10 - degree), attrgetter("trace_kperp", "fixed_line_count"))
     found = {p for pairs in per_k.values() for p in pairs}
     checks = [
         _check(f"pair_{row['pair'][0]}_{row['pair'][1]}", True, tuple(row["pair"]) in found, row["source"])
@@ -241,8 +238,8 @@ def _trace_line_pairs(degree, rows, partial):
     return {"pairs_per_k": {str(k): [list(p) for p in v] for k, v in per_k.items()}}, checks, found
 
 
-def _table_6(partial):
-    results, checks, _ = _trace_line_pairs(2, DP2_PAIRS, partial)
+def _table_6():
+    results, checks, _ = _trace_line_pairs(2, DP2_PAIRS)
     return results, checks
 
 
@@ -261,8 +258,8 @@ DP1_PAIRS = [
 ]
 
 
-def _table_7(partial):
-    results, checks, found = _trace_line_pairs(1, DP1_PAIRS, partial)
+def _table_7():
+    results, checks, found = _trace_line_pairs(1, DP1_PAIRS)
     expected = sorted(tuple(r["pair"]) for r in DP1_PAIRS)
     checks.append(_check("exactly_ten_pairs", expected, sorted(found), "table:7"))
     return results, checks

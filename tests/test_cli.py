@@ -236,26 +236,6 @@ def test_dp4_split_enumeration_is_refused_at_once(capsys, monkeypatch):
     assert "1920" in json.loads(out)["error"]
 
 
-def test_table_flags_a_scan_cut_by_its_budget(capsys, monkeypatch):
-    from delpezzo import weyl
-
-    scan = weyl.involution_frames
-    monkeypatch.setattr(weyl, "involution_frames", lambda lat, k: scan(lat, k, budget=50))
-    code, out = _run(capsys, "table", "--id", "7")
-    assert code == 1
-    failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
-    assert {"scan_exhausted_k3", "scan_exhausted_k4", "scan_exhausted_k8"} <= failed
-
-
-def test_frames_budget_equal_to_the_frame_count_is_exhaustive(capsys):
-    code, out = _run(capsys, "frames", "--degree", "3", "--k", "1", "--budget", "36")
-    assert code == 0
-    results = json.loads(out)["results"]
-    assert results["frames_examined"] == 36 and results["exhausted"] is True
-    code, out = _run(capsys, "frames", "--degree", "3", "--k", "1", "--budget", "0")
-    assert code == 2 and "error" in json.loads(out)
-
-
 def test_dp1_rationality_classifies_once(capsys, monkeypatch):
     from delpezzo import dp1
 
@@ -361,10 +341,39 @@ def test_minimal_closes_w_e8_under_a_cpu_limit():
     assert peak - bare < 2, (peak, bare)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the address space on Linux")
+def test_every_frame_scan_runs_under_cpu_and_memory_limits():
+    """No frame scan needs a bound: a fresh process that limits its own CPU
+    time to 10 s (RLIMIT_CPU) and its address space to 256 MB (RLIMIT_AS)
+    exits 0 on `frames` at k = r, the rank of the root system, on degrees
+    1..7, and on E8 at k = 4, the largest level with 122850 frames; k = r + 1
+    exits 2."""
+    from delpezzo.picard import PicardLattice
+
+    def frames(degree, k):
+        out = _child(
+            "import contextlib, io, json, resource\n"
+            "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from delpezzo import cli\n"
+            "report = io.StringIO()\n"
+            "with contextlib.redirect_stdout(report):\n"
+            f"    code = cli.main(['frames', '--degree', '{degree}', '--k', '{k}'])\n"
+            "print(code, json.loads(report.getvalue()).get('results', {}).get('frames_examined'))\n"
+        ).split()
+        return int(out[0]), out[1]
+
+    assert frames(1, 4) == (0, "122850")
+    for degree in range(1, 8):
+        r = PicardLattice(degree).r
+        assert frames(degree, r)[0] == 0, degree
+        assert frames(degree, r + 1) == (2, "None"), degree
+
+
 # a valid argv for every subcommand and both dp1 leaves
 _VALID_ARGVS = [
     ["lattice", "--degree", "3", "--what", "lines"],
-    ["frames", "--degree", "2", "--k", "3", "--budget", "7"],
+    ["frames", "--degree", "2", "--k", "3"],
     ["classify-involution", "--degree", "2", "--roots", "[[0,1,-1,0,0,0,0,0]]"],
     ["minimal", "--degree", "2", "--generators", "gens.json", "--sigma", "0"],
     ["graph", "--degree", "6", "--sigma", "fig_c", "--dot"],
@@ -390,6 +399,7 @@ _BAD_ARGVS = [
     ["table", "--id", "x"],
     ["table", "--id", "1", "--extra"],
     ["frames", "--degree", "3"],
+    ["frames", "--degree", "1", "--k", "4", "--budget", "1"],
     ["graph", "--degree", "4", "--sigma", "fig_a"],
     ["dp1"],
     ["dp1", "-h"],

@@ -301,21 +301,26 @@ def _character_average(sub, form):
 
 
 def test_delta_equals_rank_exhaustively():
-    """Spec property: the counting shortcut agrees with the character
-    average over {1, sigma} x H on every subgroup H of A, for both
-    applicable forms; the rank is that average where sigma normalizes H,
-    and refused where it does not."""
+    """Spec property: on every subgroup H of A that sigma normalizes, for
+    both applicable forms, the counting shortcut agrees with the character
+    average over {1, sigma} x H and the rank is that average; where sigma
+    does not normalize H (40 subgroups on p2_31, none on q22_02), both
+    refuse H."""
     subgroups = all_subgroups(_a_elements())
-    for form_label in ("p2_31", "q22_02"):
+    for form_label, refused in (("p2_31", 40), ("q22_02", 0)):
         form = get_form(form_label)
+        outside = 0
         for sub in subgroups:
-            average = _character_average(sub, form)
-            assert delta_criterion(sub, form) == (average == 1)
             if {form.sigma * g * form.sigma for g in sub} == sub:
+                average = _character_average(sub, form)
+                assert delta_criterion(sub, form) == (average == 1)
                 assert dp4_invariant_rank(sub, form) == average
             else:
-                with pytest.raises(NotAGroup):
-                    dp4_invariant_rank(sub, form)
+                outside += 1
+                for shortcut in (delta_criterion, dp4_invariant_rank):
+                    with pytest.raises(NotAGroup, match="sigma does not normalize"):
+                        shortcut(sub, form)
+        assert outside == refused, form_label
 
 
 def test_star_implies_nonminimal_on_sphere():

@@ -21,7 +21,7 @@ def _rows(frames):
     for level in reversed(levels):
         kids = iter(level.last)
         rows = [row + [v] for row, size in zip(rows, level.below.sizes()) for v in islice(kids, size)]
-    return rows[: len(frames)]
+    return rows
 
 
 def _data(degree):
@@ -43,14 +43,13 @@ def _cliques_by_combinations(adj, k):
     ]
 
 
-def _cliques_by_recursion(adj, k, cap):
+def _cliques_by_recursion(adj, k):
     """The depth-first scan with Python ints as vertex bitsets."""
     if k == 0:
-        return [[]], False
+        return [[]]
     upper = np.triu(np.asarray(adj, dtype=bool), 1)
     nbr = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in upper]
     flat = array("i")
-    full = cap * k
     last = k - 1
 
     def rec(chosen, cands):
@@ -60,16 +59,13 @@ def _cliques_by_recursion(adj, k, cap):
             cands ^= low
             v = low.bit_length() - 1
             if depth == last:
-                if len(flat) == full:
-                    return True
                 flat.extend(chosen)
                 flat.append(v)
-            elif rec(chosen + (v,), cands & nbr[v]):
-                return True
-        return False
+            else:
+                rec(chosen + (v,), cands & nbr[v])
 
-    truncated = rec((), (1 << upper.shape[0]) - 1)
-    return [flat[i : i + k].tolist() for i in range(0, len(flat), k)], truncated
+    rec((), (1 << upper.shape[0]) - 1)
+    return [flat[i : i + k].tolist() for i in range(0, len(flat), k)]
 
 
 def _fixed_counts_by_bools(zero_masks, frames):
@@ -85,12 +81,12 @@ def _random_graph(rng, n):
     return upper | upper.T
 
 
-def _assert_same_scan(got, want, k):
-    (frames, truncated), (ref, ref_truncated) = got, want
+def _assert_same_scan(got, ref, k):
+    frames, truncated = got
     assert frames.shape == (len(ref), k) and len(frames) == len(ref)
     assert _rows(frames) == ref
     assert [frames[i] for i in range(0, len(ref), 1 + len(ref) // 7)] == ref[:: 1 + len(ref) // 7]
-    assert truncated is ref_truncated
+    assert truncated is False
 
 
 def _check_against_recursion(rng, trials):
@@ -98,9 +94,7 @@ def _check_against_recursion(rng, trials):
         n = int(rng.integers(0, 41))
         adj = _random_graph(rng, n)
         for k in range(7):
-            total = len(_cliques_by_recursion(adj, k, 10**6)[0])
-            for cap in sorted({1, 2, max(1, total - 1), max(1, total), total + 1, 10**6}):
-                _assert_same_scan(enumerate_cliques(adj, k, cap), _cliques_by_recursion(adj, k, cap), k)
+            _assert_same_scan(enumerate_cliques(adj, k), _cliques_by_recursion(adj, k), k)
 
 
 def test_cliques_match_the_recursion_on_random_graphs():
@@ -120,7 +114,7 @@ def test_cached_levels_belong_to_their_graph():
     assert graphs[0].tobytes() != graphs[1].tobytes()
     for k in (1, 2, 3, 3, 4, 2, 5):
         for adj in graphs:
-            _assert_same_scan(enumerate_cliques(adj, k, 10**6), _cliques_by_recursion(adj, k, 10**6), k)
+            _assert_same_scan(enumerate_cliques(adj, k), _cliques_by_recursion(adj, k), k)
 
 
 def test_cached_levels_in_any_order():
@@ -128,10 +122,10 @@ def test_cached_levels_in_any_order():
     equals a warm one."""
     _, _, adj, _ = _data(1)
     for k in (8, 3, 5, 3):
-        _assert_same_scan(enumerate_cliques(adj, k, 10**6), _cliques_by_recursion(adj, k, 10**6), k)
-    warm, _ = enumerate_cliques(adj, 8, 10**6)
+        _assert_same_scan(enumerate_cliques(adj, k), _cliques_by_recursion(adj, k), k)
+    warm, _ = enumerate_cliques(adj, 8)
     _kernels._cliques.cache_clear()
-    cold, _ = enumerate_cliques(adj, 8, 10**6)
+    cold, _ = enumerate_cliques(adj, 8)
     assert cold.shape == (2025, 8)
     assert _rows(cold) == _rows(warm)
 
@@ -148,13 +142,13 @@ def test_frames_per_k_of_e6_e7_e8(degree, sizes):
     """The number of k-frames of orthogonal positive roots, k = 0..r, as
     the numpy scan counted them."""
     _, _, adj, _ = _data(degree)
-    assert [len(enumerate_cliques(adj, k, 10**6)[0]) for k in range(len(sizes))] == sizes
+    assert [len(enumerate_cliques(adj, k)[0]) for k in range(len(sizes))] == sizes
 
 
 def test_scanned_frames_are_read_only():
     _, _, adj, _ = _data(3)
     for k in (2, 3):
-        frames, _ = enumerate_cliques(adj, k, 10**6)
+        frames, _ = enumerate_cliques(adj, k)
         first = frames[0]
         with pytest.raises(TypeError):
             frames[0] = [0] * k
@@ -166,30 +160,26 @@ def test_scanned_frames_are_read_only():
 
 def test_frames_index_like_a_sequence():
     _, _, adj, _ = _data(3)
-    frames, _ = enumerate_cliques(adj, 3, 10**6)
+    frames, _ = enumerate_cliques(adj, 3)
     rows = _cliques_by_combinations(adj, 3)
     assert frames[-1] == rows[-1] and frames[-len(rows)] == rows[0]
     for i in (len(rows), -len(rows) - 1):
         with pytest.raises(IndexError):
             frames[i]
-    capped, _ = enumerate_cliques(adj, 3, 5)
-    assert capped[-1] == rows[4]
-    with pytest.raises(IndexError):
-        capped[5]
 
 
 def test_frames_hold_at_most_256_vertices():
-    frames, truncated = enumerate_cliques(np.zeros((256, 256), dtype=bool), 1, 300)
+    frames, truncated = enumerate_cliques(np.zeros((256, 256), dtype=bool), 1)
     assert [row[0] for row in _rows(frames)] == list(range(256)) and not truncated
     with pytest.raises(ValueError):
-        enumerate_cliques(np.zeros((257, 257), dtype=bool), 1, 300)
+        enumerate_cliques(np.zeros((257, 257), dtype=bool), 1)
 
 
 def test_adjacency_must_be_square():
     with pytest.raises(ValueError):
-        enumerate_cliques(np.ones((3, 4), dtype=bool), 1, 10)
+        enumerate_cliques(np.ones((3, 4), dtype=bool), 1)
     # a row shorter than the graph has no edge beyond it
-    frames, _ = enumerate_cliques([[False, True], [True]], 2, 10)
+    frames, _ = enumerate_cliques([[False, True], [True]], 2)
     assert _rows(frames) == [[0, 1]]
 
 
@@ -202,7 +192,7 @@ def test_fixed_counts_match_the_boolean_gather():
         adj = _random_graph(rng, n)
         masks = [rng.random((n, width)) < rng.uniform(0.3, 0.95) for _ in range(2)]
         for k in (0, 1, 2, 3, 4, 4, 2, 5, 3):
-            frames, _ = enumerate_cliques(adj, k, 10**6)
+            frames, _ = enumerate_cliques(adj, k)
             for m in masks:
                 counts = fixed_counts(m, frames)
                 assert counts == _fixed_counts_by_bools(m, _rows(frames)), (width, k)
@@ -214,7 +204,7 @@ def test_fixed_counts_across_chunks(monkeypatch):
     adj = _random_graph(rng, 25)
     masks = rng.random((25, 70)) < 0.7
     for k in range(6):
-        frames, _ = enumerate_cliques(adj, k, 10**6)
+        frames, _ = enumerate_cliques(adj, k)
         assert fixed_counts(masks, frames) == _fixed_counts_by_bools(masks, _rows(frames)), k
 
 
@@ -222,40 +212,20 @@ def test_clique_paths_agree():
     for degree, ks in ((3, range(0, 7)), (2, range(0, 4))):
         _, _, adj, _ = _data(degree)
         for k in ks:
-            frames, truncated = enumerate_cliques(adj, k, 10**6)
+            frames, truncated = enumerate_cliques(adj, k)
             assert not truncated
             assert _rows(frames) == _cliques_by_combinations(adj, k), (degree, k)
 
 
-def test_clique_cap_truncates():
-    """A capped scan is the lexicographic prefix of the full one, and its
-    counts are the prefix of the full counts."""
+def test_clique_cap_is_ignored():
+    """Any cap, even one below the level's size, gives the whole level."""
     _, _, adj, masks = _data(2)
-    frames, truncated = enumerate_cliques(adj, 3, 10)
-    assert truncated and frames.shape == (10, 3)
-    full, _ = enumerate_cliques(adj, 3, 10**6)
-    assert _rows(frames) == _rows(full)[:10]
-    assert fixed_counts(masks, frames) == fixed_counts(masks, full)[:10]
-
-
-def test_clique_cap_flags_only_a_clique_beyond_it():
-    _, pos, adj, _ = _data(3)
-    assert len(pos) == 36  # E6 has 36 positive roots, the 1-cliques
-    frames, truncated = enumerate_cliques(adj, 1, 36)
-    assert frames.shape == (36, 1) and not truncated
-    frames, truncated = enumerate_cliques(adj, 1, 35)
-    assert frames.shape == (35, 1) and truncated
-    for k in range(2, 5):
-        total = len(_cliques_by_combinations(adj, k))
-        assert not enumerate_cliques(adj, k, total)[1]
-        assert enumerate_cliques(adj, k, total - 1)[1]
-
-
-def test_clique_cap_must_be_positive():
-    _, _, adj, _ = _data(3)
-    for k in (0, 1):
-        with pytest.raises(ValueError):
-            enumerate_cliques(adj, k, 0)
+    full, _ = enumerate_cliques(adj, 3)
+    for cap in (0, 1, 10, 10**7):
+        frames, truncated = enumerate_cliques(adj, 3, cap)
+        assert frames.shape == (4095, 3) and truncated is False
+        assert _rows(frames) == _rows(full)
+        assert fixed_counts(masks, frames) == fixed_counts(masks, full)
 
 
 def _count_fixed_lines(lat, mat):
@@ -267,7 +237,7 @@ def _count_fixed_lines(lat, mat):
 
 def test_fixed_count_paths_agree():
     lat, pos, adj, masks = _data(2)
-    frames, _ = enumerate_cliques(adj, 3, 10**6)
+    frames, _ = enumerate_cliques(adj, 3)
     counts = fixed_counts(masks, frames)
     expected = [_count_fixed_lines(lat, np.array(frame_matrix(lat, pos[f]))) for f in _rows(frames)]
     assert counts == expected
@@ -282,10 +252,10 @@ def test_orthogonal_rows_match_the_matrix_product():
 
 def test_edge_cases():
     _, _, adj, masks = _data(2)
-    empty, truncated = enumerate_cliques(adj, 0, 10)
+    empty, truncated = enumerate_cliques(adj, 0)
     assert empty.shape == (1, 0) and _rows(empty) == [[]] and not truncated
     assert fixed_counts(masks, empty) == [masks.shape[1]]
-    frames, truncated = enumerate_cliques(np.zeros((0, 0), dtype=bool), 0, 10)
+    frames, truncated = enumerate_cliques(np.zeros((0, 0), dtype=bool), 0)
     assert _rows(frames) == [[]] and not truncated
-    assert enumerate_cliques(np.zeros((0, 0), dtype=bool), 1, 10)[0].shape == (0, 1)
-    assert fixed_counts(np.zeros((0, 5), dtype=bool), enumerate_cliques([], 1, 10)[0]) == []
+    assert enumerate_cliques(np.zeros((0, 0), dtype=bool), 1)[0].shape == (0, 1)
+    assert fixed_counts(np.zeros((0, 5), dtype=bool), enumerate_cliques([], 1)[0]) == []

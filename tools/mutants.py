@@ -100,11 +100,11 @@ MUTANTS = {
         "if below.shared is None:",
         ("tests/test_kernels.py::test_fixed_counts_match_the_boolean_gather",),
     ),
-    "cap-cuts-one-frame-early": (
+    "frame-count-one-short": (
         "_kernels.py",
-        "_Frames(level, min(size, cap), k)",
-        "_Frames(level, min(size, cap - 1), k)",
-        ("tests/test_kernels.py::test_clique_cap_flags_only_a_clique_beyond_it",),
+        "return len(self._level.ids)",
+        "return len(self._level.ids) - 1",
+        ("tests/test_kernels.py::test_frames_per_k_of_e6_e7_e8",),
     ),
     "frame-row-takes-the-next-parent": (
         "_kernels.py",

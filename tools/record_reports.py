@@ -282,9 +282,9 @@ def requests() -> list[tuple[str, list[str]]]:
             for d in range(1, 7)
             for k in range(10 - d)
         ],
+        # every scan is exhaustive, so a budget is an unknown argument (exit 2)
         ("frames-d2-k3-budget7", ["frames", "--degree", "2", "--k", "3", "--budget", "7"]),
         ("frames-d3-k1-budget36", ["frames", "--degree", "3", "--k", "1", "--budget", "36"]),
-        # budgets around the scan's chunk size and one frame short of the whole scan
         *[
             (f"frames-d{d}-k{k}-budget{b}", ["frames", "--degree", str(d), "--k", str(k), "--budget", str(b)])
             for d, k, b in ((1, 4, 1), (1, 4, 4095), (1, 4, 4096), (1, 4, 4097), (1, 4, 122849),
@@ -297,6 +297,9 @@ def requests() -> list[tuple[str, list[str]]]:
         ("frames-no-k", ["frames", "--degree", "3"]),
         ("classify-d3", ["classify-involution", "--degree", "3", "--roots", e6_root]),
         ("classify-d2", ["classify-involution", "--degree", "2", "--roots", "[[0,1,-1,0,0,0,0,0],[0,0,0,1,-1,0,0,0],[0,0,0,0,0,1,-1,0]]"]),
+        # A_3 x A_1, of order 4: the order-4 branch of the degree-2 names
+        ("classify-d2-a3-a1", ["classify-involution", "--degree", "2", "--roots",
+                               "[[0,1,-1,0,0,0,0,0],[0,0,1,-1,0,0,0,0],[0,0,0,1,-1,0,0,0],[0,0,0,0,0,0,1,-1]]"]),
         ("classify-d1", ["classify-involution", "--degree", "1", "--roots", "[[0,1,-1,0,0,0,0,0,0],[1,-1,-1,-1,0,0,0,0,0]]"]),
         ("classify-d5-unnamed", ["classify-involution", "--degree", "5", "--roots", "[[0,1,-1,0,0]]"]),
         ("classify-no-roots", ["classify-involution", "--degree", "3", "--roots", "[]"]),
