@@ -50,15 +50,19 @@ def _fingerprint_json(fp):
 
 
 def _parse_rational_list(text: str) -> list:
-    """The comma-separated scalars of text, as Fractions."""
-    from .exactnum import parse_scalar
+    """The comma-separated coefficients of text, as Fractions: each is an
+    integer or p/q with q > 0, in ASCII digits, between optional blanks."""
+    import re
+    from fractions import Fraction
 
     out = []
     for chunk in text.split(","):
-        val = parse_scalar(chunk.strip())
-        if not val.is_rational():
-            raise UsageError(f"coefficient {chunk.strip()!r} is not rational")
-        out.append(val.as_rational())
+        chunk = chunk.strip()
+        m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", chunk)
+        q = int(m[2] or 1) if m else 0
+        if not q:
+            raise UsageError(f"coefficient {chunk!r} is not an integer or p/q with q > 0")
+        out.append(Fraction(int(m[1]), q))
     return out
 
 
@@ -507,7 +511,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         out = args.func(args)
-    except ValueError as exc:  # UsageError, UnsupportedDegree and ParseError included
+    except ValueError as exc:  # UsageError and UnsupportedDegree included
         return _emit(json.dumps({"error": str(exc)}, sort_keys=True), 2)
     if isinstance(out, str):  # DOT
         return _emit(out, 0)

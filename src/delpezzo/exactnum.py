@@ -22,10 +22,6 @@ from operator import add as _add
 from .realroots import _pdivmod, _poly_mul
 
 
-class ParseError(ValueError):
-    """Raised on malformed scalar literals."""
-
-
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
@@ -404,133 +400,3 @@ def cyclo_make(n: int, k: int) -> CycloNum:
 def conj(x: CycloNum) -> CycloNum:
     """Complex conjugation, the ring involution zeta -> zeta^(n-1)."""
     return _new(x.n, _substitute(x.num, x.n, x.n - 1, len(x.num)), x.den)
-
-
-# ---------------------------------------------------------------------------
-# literal parser: rationals "p/q" and cyclotomic monomials "z<n>^<k>" composed
-# with +, -, * and parentheses
-
-# the largest lcm of the z<n> in one literal: _power_table(n) holds n * phi(n)
-# ints; a fresh `dp1 rationality` peaks at 24 MB on z997^0, 47 MB on z1999^0
-_MAX_CONDUCTOR = 1000
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    conductor = 1
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError(f"malformed rational near {text[i:]!r}")
-                q = int(text[j + 1 : k])
-                if not q:
-                    raise ParseError(f"zero denominator near {text[i:]!r}")
-                tokens.append(Fraction(int(text[i:j]), q))
-                i = k
-            else:
-                tokens.append(Fraction(int(text[i:j])))
-                i = j
-        elif ch == "z":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError(f"malformed zeta literal near {text[i:]!r}")
-            n = int(text[i + 1 : j])
-            conductor = lcm(conductor, n or 1)  # z0 is refused when it is built
-            if conductor > _MAX_CONDUCTOR:
-                raise ParseError(f"conductor {conductor} exceeds {_MAX_CONDUCTOR} at {text[i:j]!r}")
-            k = 1
-            if j < len(text) and text[j] == "^":
-                sign = 1
-                j += 1
-                if j < len(text) and text[j] == "-":
-                    sign = -1
-                    j += 1
-                m = j
-                while m < len(text) and text[m].isdigit():
-                    m += 1
-                if m == j:
-                    raise ParseError(f"malformed exponent near {text[i:]!r}")
-                k = sign * int(text[j:m])
-                j = m
-            tokens.append(("zeta", n, k))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} in scalar literal")
-    return tokens
-
-
-def parse_scalar(text: str) -> CycloNum:
-    """Parse 'p/q' / 'z<n>^<k>' expressions combined with +, -, * and parens;
-    the lcm of the n may be at most _MAX_CONDUCTOR."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_atom() -> CycloNum:
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        if tok == "(":
-            take()
-            val = parse_sum()
-            if peek() != ")":
-                raise ParseError("missing closing parenthesis")
-            take()
-            return val
-        if tok == "-":
-            take()
-            return -parse_atom()
-        if tok == "+":
-            take()
-            return parse_atom()
-        take()
-        if isinstance(tok, Fraction):
-            return CycloNum.rational(tok, 1)
-        if isinstance(tok, tuple) and tok[0] == "zeta":
-            return cyclo_make(tok[1], tok[2])
-        raise ParseError(f"unexpected token {tok!r}")
-
-    def parse_product() -> CycloNum:
-        val = parse_atom()
-        while peek() == "*":
-            take()
-            val = val * parse_atom()
-        return val
-
-    def parse_sum() -> CycloNum:
-        val = parse_product()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                val = val + parse_product()
-            else:
-                val = val - parse_product()
-        return val
-
-    result = parse_sum()
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens in scalar literal {text!r}")
-    return result

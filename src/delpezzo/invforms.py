@@ -11,11 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .exactnum import _MAX_CONDUCTOR, CycloNum, cyclo_make
+from .exactnum import CycloNum, cyclo_make
 from .explicitlines import mat_rank
 
 _ZERO = CycloNum.rational(0)
 _ONE = CycloNum.rational(1)
+# the largest conductor lcm(4, N) of a zN or dN label: the table of powers of
+# zeta_n holds n * phi(n) ints
+_MAX_CONDUCTOR = 1000
 
 
 class BinaryForm:
@@ -177,10 +180,12 @@ def group_from_label(label: str) -> PointGroup2D:
     key = label.lower().replace("/", "")
     if key[:1] not in ("z", "d"):
         raise ValueError(f"unknown 2D point group label {label!r}")
+    if not (key[1:].isascii() and key[1:].isdigit()):
+        raise ValueError(f"2D point group label {label!r} needs N in ASCII digits after {key[0]}")
     n = int(key[1:])
     if n < 1:
         raise ValueError(f"2D point group label {label!r} needs n >= 1")
-    # the rotations live in Q(zeta_lcm(4, n)), bounded as a literal's conductor is
+    # the rotations live in Q(zeta_lcm(4, n))
     if lcm(4, n) > _MAX_CONDUCTOR:
         raise ValueError(f"2D point group label {label!r}: conductor lcm(4, {n}) exceeds {_MAX_CONDUCTOR}")
     return standard_cyclic(n) if key[0] == "z" else standard_dihedral(n)

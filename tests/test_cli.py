@@ -83,9 +83,41 @@ def test_dp1_rationality(capsys):
     assert data["results"]["euler"] < 0
 
 
-def test_dp1_rationality_rejects_non_rational_scalar(capsys):
-    code, _ = _run(capsys, "dp1", "rationality", "--f4=z4^1,0,0,0,0", "--f6=1,0,0,0,0,0,1")
-    assert code == 2
+# (id, spelling of the first f4 coefficient, the same value spelled plainly,
+# or None where the spelling is refused)
+_COEFFICIENTS = [
+    ("plus-sign", "+2", "2"),
+    ("p-over-q", "-4/2", "-2"),
+    ("blanks", " 3/4 ", "3/4"),
+    ("zero-over-q", "0/3", "0"),
+    ("zero-denominator", "1/0", None),
+    ("zero-denominator-00", "3/00", None),
+    ("negative-denominator", "2/-3", None),
+    ("decimal", "1.5", None),
+    ("zeta", "z4^1", None),
+    ("zeta-square", "z4^2", None),
+    ("parentheses", "(-2)", None),
+    ("sum", "-3+1", None),
+    ("two-numbers", "1 2", None),
+    ("empty", "", None),
+    ("non-ascii-digit", "\u0663", None),
+]
+
+
+@pytest.mark.parametrize("spelling, plain", [c[1:] for c in _COEFFICIENTS], ids=[c[0] for c in _COEFFICIENTS])
+def test_dp1_rationality_reads_each_coefficient_as_an_integer_or_p_over_q(capsys, spelling, plain):
+    """A coefficient is [+-]digits or [+-]digits/digits with a positive
+    denominator, in ASCII digits, between optional blanks; any other chunk
+    exits 2 with one error line that names it."""
+    code, out = _run(capsys, "dp1", "rationality", f"--f4={spelling},0,-2,0,-2", "--f6=-1,0,-2,0,-2,0,2")
+    if plain is None:
+        lines = out.splitlines()
+        assert code == 2 and len(lines) == 1
+        error = json.loads(lines[0])
+        assert list(error) == ["error"] and repr(spelling.strip()) in error["error"]
+    else:
+        plain_code, plain_out = _run(capsys, "dp1", "rationality", f"--f4={plain},0,-2,0,-2", "--f6=-1,0,-2,0,-2,0,2")
+        assert (code, json.loads(out)["results"]) == (plain_code, json.loads(plain_out)["results"])
 
 
 def test_graph_json_and_dot(capsys):

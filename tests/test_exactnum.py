@@ -9,12 +9,10 @@ from delpezzo.exactnum import (
     _echelon,
     _power_table,
     _solve,
-    ParseError,
     conj,
     cyclo_make,
     cyclotomic_poly,
     euler_phi,
-    parse_scalar,
 )
 
 
@@ -98,28 +96,6 @@ def test_inverse_and_division():
 def test_hash_respects_cross_conductor_equality():
     vals = {cyclo_make(4, 2), CycloNum.rational(-1), CycloNum.rational(-1, 8)}
     assert len(vals) == 1
-
-
-def test_parser():
-    assert parse_scalar("3/4") == Fraction(3, 4)
-    assert parse_scalar("z4^2") == -1
-    assert parse_scalar("z8^1 + z8^-1") == cyclo_make(8, 1) + cyclo_make(8, 7)
-    assert parse_scalar("(1 + z4) * (1 - z4)") == 2
-    assert parse_scalar("-2 + 3 * 1/2") == Fraction(-1, 2)
-    with pytest.raises(ParseError):
-        parse_scalar("z")
-    with pytest.raises(ParseError):
-        parse_scalar("1 +")
-
-
-def test_parser_bounds_the_conductor_of_a_literal():
-    """A literal is computed at the lcm of its z<n>, which may be at most
-    1000; z31 and z37 are each below it, their lcm 1147 is not."""
-    assert parse_scalar("z1000^0") == 1
-    assert parse_scalar("z8^4 * z125^0") == -1
-    for text in ("z1001", "2 * z1001^0", "z31 + z37", "z0 + z1001"):
-        with pytest.raises(ParseError, match="exceeds 1000"):
-            parse_scalar(text)
 
 
 # ---------------------------------------------------------------------------

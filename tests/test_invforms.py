@@ -28,12 +28,22 @@ BOX_DIMS = {
 
 
 def test_group_labels_bound_the_rotation_conductor():
-    """zN and dN rotate by 2 pi / N in Q(zeta_lcm(4, N)), at most 1000 as for literals."""
+    """zN and dN rotate by 2 pi / N in Q(zeta_lcm(4, N)), at most 1000."""
     for label in ("z1000", "d498", "z249", "Z/4"):
         assert group_from_label(label).n == int(label.lstrip("zZdD/")), label
     for label in ("z251", "d502", "z1004", "d1001", "z5000"):
         with pytest.raises(ValueError, match="conductor"):
             group_from_label(label)
+
+
+def test_group_labels_read_n_in_ascii_digits():
+    """N follows z or d in ASCII digits alone; a label without them is
+    refused by name, also where int() reads a sign, an underscore, a blank
+    or another script's digits."""
+    for label in ("z", "zz", "z+3", "z-4", "z1_0", "z 4", "z\u0663", "d\u0663", "z4.0"):
+        with pytest.raises(ValueError, match="ASCII digits") as exc:
+            group_from_label(label)
+        assert repr(label) in str(exc.value), label
 
 
 def test_standard_representations():

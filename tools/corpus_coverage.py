@@ -6,7 +6,7 @@ Replays every request of tests/report_digests.json in-process through
 recorded one.  The line events in `src/delpezzo` are mapped onto the `ast`
 statements of every function and method body; each statement belongs to its
 innermost function, named `module.qualname` (`exactnum.CycloNum.inverse`,
-`exactnum.parse_scalar.parse_atom`).  Module and class bodies are not
+`colorgraph._search.rec`).  Module and class bodies are not
 counted.
 
 A statement is reached when one of its own lines had a line event: for a

@@ -192,18 +192,24 @@ MUTANTS = {
         "m = max(self.n, other.n)",
         _CYCLO,
     ),
-    # the conductor bound of scalar literals
-    "conductor-bound-excludes-the-bound": (
-        "exactnum.py",
-        "if conductor > _MAX_CONDUCTOR:",
-        "if conductor >= _MAX_CONDUCTOR:",
-        ("tests/test_exactnum.py::test_parser_bounds_the_conductor_of_a_literal",),
+    # the coefficient parse of `dp1 rationality` and the group labels of `invariants`
+    "coefficient-accepts-a-zero-denominator": (
+        "cli.py",
+        "        if not q:\n",
+        "        if not m:\n",
+        ("tests/test_cli.py::test_dp1_rationality_reads_each_coefficient_as_an_integer_or_p_over_q",),
     ),
-    "conductor-bound-per-literal": (
-        "exactnum.py",
-        "conductor = lcm(conductor, n or 1)",
-        "conductor = n",
-        ("tests/test_exactnum.py::test_parser_bounds_the_conductor_of_a_literal",),
+    "group-label-conductor-excludes-the-bound": (
+        "invforms.py",
+        "if lcm(4, n) > _MAX_CONDUCTOR:",
+        "if lcm(4, n) >= _MAX_CONDUCTOR:",
+        ("tests/test_invforms.py::test_group_labels_bound_the_rotation_conductor",),
+    ),
+    "group-label-without-the-digit-check": (
+        "invforms.py",
+        "if not (key[1:].isascii() and key[1:].isdigit()):",
+        "if False:",
+        ("tests/test_invforms.py::test_group_labels_read_n_in_ascii_digits",),
     ),
     # the int-code group law of dp4 and its conjugation maps
     "dp4-permutations-composed-in-the-wrong-order": (

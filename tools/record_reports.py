@@ -226,8 +226,11 @@ FIBER_CASES = [
     ("root-at-a-bisection-point", "-3,3,1,3,-3", "2,1,1,0,2,0,-2"),
 ]
 
-# (name, f4, f6): one request per branch of the scalar-literal grammar, each
-# on the surface of the dp1-rationality entry or refused with one error line
+# (name, f4, f6): spellings of one coefficient on the surface of the
+# dp1-rationality entry.  A coefficient is an integer or p/q with q > 0, in
+# ASCII digits: `fraction` and `unary-plus` are read, and every other entry is
+# refused with one error line naming its chunk, among them each spelling of the
+# former cyclotomic literal grammar (`z<n>^<k>`, `+ - *`, parentheses)
 LITERAL_CASES = [
     ("fraction", "-4/2,0,-2,0,-2", "-1,0,-2,0,-2,0,2"),
     ("negative-exponent", "-2,0,-2,0,-2", "z4^-2,0,-2,0,-2,0,2"),
@@ -244,7 +247,9 @@ LITERAL_CASES = [
         (f"error-{name}", f"{text},0,-2,0,-2", "-1,0,-2,0,-2,0,2")
         for name, text in (("slash", "1/"), ("bare-z", "z"), ("caret", "z3^"), ("character", "1@"),
                            ("open-paren", "(1"), ("trailing-plus", "1+"), ("close-paren", ")"), ("two-numbers", "1 2"),
-                           ("zero-denominator", "1/0"), ("zero-denominator-00", "3/00"))
+                           ("zero-denominator", "1/0"), ("zero-denominator-00", "3/00"),
+                           ("negative-denominator", "2/-3"), ("decimal", "1.5"), ("empty", ""),
+                           ("non-ascii-digit", "\u0663"))
     ],
 ]
 
@@ -352,6 +357,8 @@ def requests() -> list[tuple[str, list[str]]]:
         ("invariants-unknown-group", ["invariants", "--group", "q3", "--degree", "2"]),
         ("invariants-z0", ["invariants", "--group", "z0", "--degree", "2"]),
         ("invariants-d0", ["invariants", "--group", "d0", "--degree", "2"]),
+        # N is ASCII digits alone: int() reads the `+3` of z+3 and the `1_0` of z1_0 too
+        *[(f"invariants-{g}", ["invariants", "--group", g, "--degree", "2"]) for g in ("z", "z+3", "z1_0")],
         # the rotations of zN and dN live at conductor lcm(4, N), bounded by 1000
         ("invariants-z1000", ["invariants", "--group", "z1000", "--degree", "0"]),
         ("invariants-z251", ["invariants", "--group", "z251", "--degree", "4"]),
