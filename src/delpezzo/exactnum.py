@@ -55,46 +55,38 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_n^k in the canonical basis 1, zeta, ..., zeta^(phi-1), for 0 <= k < n."""
-    phi = euler_phi(n)
-    mod = cyclotomic_poly(n)
-    tail = [-c for c in mod[:phi]]  # x^phi == tail
-    rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(n):
-        rows.append(tuple(cur))
-        lead = cur[phi - 1]
-        nxt = [0] + cur[: phi - 1]
-        if lead:
-            for i in range(phi):
-                nxt[i] += lead * tail[i]
-        cur = nxt
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
 def _tail(n: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero (i, t) with zeta_n^phi = sum t * zeta_n^i: reduction modulo Phi_n."""
-    table = _power_table(n)
-    return tuple((i, t) for i, t in enumerate(table[len(table[0]) % n]) if t)
+    """The nonzero (i, t) with zeta_n^phi = sum t * zeta_n^i: minus Phi_n below its top term."""
+    return tuple((i, -c) for i, c in enumerate(cyclotomic_poly(n)[: euler_phi(n)]) if c)
+
+
+def _fold(out: list[int], phi: int, tail) -> list[int]:
+    """sum out[k] * zeta_n^k reduced modulo Phi_n in place, for `tail` = _tail(n): phi entries.
+
+    The one reduction of the module, from the top degree down:
+    c z^k = c z^(k-phi) * sum t z^i, z = zeta_n.
+    """
+    for k in range(len(out) - 1, phi - 1, -1):
+        c = out[k]
+        if c:
+            for i, t in tail:
+                out[k - phi + i] += c * t
+    del out[phi:]
+    return out
 
 
 def _substitute(num, m: int, e: int, size: int) -> list[int]:
     """sum num[i] * zeta_m^(i*e) as an integer vector of `size` = phi(m) entries."""
-    table = _power_table(m)
-    out = [0] * size
+    tail = _tail(m)  # read on every substitution, as in CycloNum.__mul__
+    out, top = [0] * size, size
     for i, c in enumerate(num):
         if c:
             k = i * e % m
-            if k < size:  # zeta_m^k is a basis vector
-                out[k] += c
-                continue
-            for j, t in enumerate(table[k]):
-                if t:
-                    out[j] += c * t
-    return out
+            if k >= top:  # zeta_m^k is no basis vector: the fold reduces it
+                out += [0] * (k + 1 - top)
+                top = k + 1
+            out[k] += c
+    return out if top == size else _fold(out, size, tail)
 
 
 def _dense_product(x, y, tail) -> list[int]:
@@ -106,14 +98,7 @@ def _dense_product(x, y, tail) -> list[int]:
         if c:
             for j, d in ys:
                 out[i + j] += c * d
-    # from the top degree down: c z^k = c z^(k-phi) * sum t z^i, z = zeta_n
-    for k in range(2 * phi - 2, phi - 1, -1):
-        c = out[k]
-        if c:
-            for i, t in tail:
-                out[k - phi + i] += c * t
-    del out[phi:]
-    return out
+    return _fold(out, phi, tail)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -158,9 +143,11 @@ class CycloNum:
 
     @staticmethod
     def zeta_power(n: int, k: int) -> "CycloNum":
-        # rows are phi(n) long already; the slice keeps the euler_phi call
-        # that the traced work counts in perfbench/digests.json include
-        return _new(n, _power_table(n)[k % n][: euler_phi(n)], 1)
+        k %= n
+        phi = euler_phi(n)
+        out = [0] * max(phi, k + 1)
+        out[k] = 1
+        return _new(n, _fold(out, phi, _tail(n)), 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -223,10 +210,9 @@ class CycloNum:
     def __mul__(self, other):
         a, b = self._unify(other)
         n = a.n
-        # read on every product, scalings too: a request's first product at n
-        # may build _power_table(n), and the traced euler_phi and
-        # cyclotomic_poly counts in perfbench/digests.json depend on which
-        # call builds it
+        # read on every product, scalings too: the first read at n builds
+        # _tail(n), whose euler_phi and cyclotomic_poly calls the traced counts
+        # in perfbench/digests.json include
         tail = _tail(n)
         x, y = a.num, b.num
         # a factor is rational when its phi - 1 entries after the first are 0

@@ -348,6 +348,21 @@ def test_table_7_peak_rss():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def test_cyclotomic_reduction_keeps_no_table_of_powers():
+    """zeta_4000^3999, embedded in Q(zeta_8000) and conjugated there, is
+    reduced modulo Phi_n term by term: a fresh process doing so peaks less
+    than 2 MB above one that only imports exactnum (a table of the powers of
+    zeta_8000 would hold 8000 * 3200 ints)."""
+    peak = _peak_mb(
+        "from delpezzo.exactnum import CycloNum, conj\n"
+        "x = CycloNum.zeta_power(4000, 3999).embed(8000)\n"
+        "assert conj(x) * x == 1\n"
+    )
+    bare = _peak_mb("import delpezzo.exactnum\n")
+    assert peak - bare < 2, (peak, bare)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
 def test_minimal_closes_w_e8_under_a_cpu_limit():
     """minimal on the E8 simple reflections and the Bertini involution gives
     W(E8), of order 696729600, without listing an element: a fresh process

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from delpezzo.exactnum import (
     CycloNum,
     _echelon,
-    _power_table,
     _solve,
     conj,
     cyclo_make,
@@ -100,16 +100,32 @@ def test_hash_respects_cross_conductor_equality():
 
 # ---------------------------------------------------------------------------
 # oracle: CycloNum against a slow Fraction implementation of Q(zeta_n), the
-# schoolbook product reduced through the table of powers of zeta_n
+# schoolbook product reduced through a table of powers of zeta_n that the test
+# builds from Phi_n itself, one multiplication by zeta_n at a time, and so
+# shares no reduction code with the package
 
 ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 8, 12, 20, 28, 36, 44, 120)
 # operand conductors whose products and sums live at their lcm
 MIXED_CONDUCTORS = ((4, 6), (5, 8), (3, 20), (1, 44))
 
 
+@lru_cache(maxsize=None)
+def _ref_powers(n):
+    """zeta_n^k in the basis 1, zeta, ..., zeta^(phi-1), for 0 <= k < n."""
+    phi = euler_phi(n)
+    mod = cyclotomic_poly(n)  # monic: zeta^phi = -(mod[0] + ... + mod[phi-1] zeta^(phi-1))
+    rows = [[1] + [0] * (phi - 1)]
+    for _ in range(n - 1):
+        prev = rows[-1]
+        rows.append([0] + prev[:-1])
+        for i in range(phi):
+            rows[-1][i] -= prev[-1] * mod[i]
+    return tuple(map(tuple, rows))
+
+
 def _ref_combine(terms, n):
     """sum c * zeta_n^k over (c, k) in terms, as Fractions in the power basis."""
-    table = _power_table(n)
+    table = _ref_powers(n)
     out = [Fraction(0)] * euler_phi(n)
     for c, k in terms:
         if c:
@@ -210,6 +226,14 @@ def test_arithmetic_matches_fraction_oracle():
         for a in _zero_constant_values(rng, n1) + [_random_value(rng, n1)]:
             for b in _zero_constant_values(rng, n2) + [_random_value(rng, n2)]:
                 _check_pair(a, b)
+
+
+def test_zeta_powers_match_the_oracle():
+    for n in ORACLE_CONDUCTORS + (7, 30, 105):
+        table = _ref_powers(n)
+        for k in range(-n, 2 * n):
+            x = CycloNum.zeta_power(n, k)
+            assert x.den == 1 and x.num == table[k % n], (n, k)
 
 
 def test_hash_is_canonical_across_embeddings():

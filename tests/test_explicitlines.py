@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from delpezzo import colorgraph
-from delpezzo.exactnum import CycloNum, cyclo_make
+from delpezzo.exactnum import CycloNum, _solve, cyclo_make
 from delpezzo.explicitlines import (
+    CLEBSCH_TWISTS,
+    FERMAT_TWISTS,
     InvalidCocycle,
     TwistedRealStructure,
     clebsch_cubic_value,
@@ -27,6 +29,8 @@ from delpezzo.explicitlines import (
     tritangent_triples,
 )
 from delpezzo.picard import PicardLattice, enumerate_exceptional, incidence_matrix
+from delpezzo.tables import CUBIC_REAL_PAIRS
+from delpezzo.weyl import Isometry, fingerprint
 
 PARAMS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 5)]
 
@@ -231,3 +235,32 @@ def test_coordinate_lattice_isomorphism_deg2():
     for i in range(56):
         perm[iso[i], i] = 1
     assert np.array_equal(perm @ cm @ perm.T, lattice_cm)
+
+
+def test_cubic_twists_are_lattice_involutions_with_table_3_counts():
+    """Each twist of either cubic permutes the lines labelled by exceptional
+    classes; that permutation is an isometry of the Picard lattice, and its
+    fingerprint's (fixed lines, fixed trios) are the surface's real lines and
+    real tritangent planes.  Together the six twists give every row of table 3."""
+    lat = PicardLattice(3)
+    classes = enumerate_exceptional(lat)
+    lattice_cm = [[max(x, 0) for x in row] for row in incidence_matrix(lat, classes)]
+    pairs = set()
+    for lines, twist, names in ((fermat_lines(), fermat_twist, FERMAT_TWISTS), (clebsch_lines(), clebsch_twist, CLEBSCH_TWISTS)):
+        iso = colorgraph.isomorphism(incidence_graph(lines), ["v"] * 27, lattice_cm, ["v"] * 27)
+        for name in names:
+            rs = twist(name)
+            images = [next(j for j, other in enumerate(lines) if other.same_line(rs.apply_line(line))) for line in lines]
+            # the isometry M with M c(iso[i]) = c(iso[images[i]]): rows of M solve
+            # A x = b, A's rows the classes of the lines and b a coordinate of their images
+            a = [classes[iso[i]].coords for i in range(27)]
+            b = [classes[iso[j]].coords for j in images]
+            rows = _solve(a, [[row[k] for row in b] for k in range(lat.rank)])
+            assert rows is not None and all(x.denominator == 1 for row in rows for x in row)
+            g = Isometry(lat, [[int(x) for x in row] for row in rows])
+            assert g.permutation(classes) == tuple(iso[images[iso.index(c)]] for c in range(27))
+            fp = fingerprint(lat, g)
+            pair = (fp.fixed_line_count, fp.fixed_trio_count)
+            assert pair == (count_real_lines(lines, rs), count_real_tritangents(lines, rs)), (name, pair)
+            pairs.add(pair)
+    assert sorted(pairs) == sorted(row["pair"] for row in CUBIC_REAL_PAIRS)

@@ -1,4 +1,6 @@
-"""Every report of the corpus in tests/report_digests.json, replayed in-process.
+"""Every report of the corpus in tests/report_digests.json, replayed in-process
+through `record_reports.replay`, as the recorder and tools/corpus_coverage.py
+replay it.
 
 tools/record_reports.py records the corpus: each entry is a CLI request with
 the exit code and the stdout digest (sha256, first 16 hex digits) it gave
@@ -6,14 +8,11 @@ when recorded.  A change that keeps reports byte-identical leaves every entry
 passing; a change that alters a report must re-record it and say so.
 """
 
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 import pytest
-
-from delpezzo.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -28,9 +27,5 @@ def test_the_corpus_holds_every_request_of_its_recorder():
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=[e["name"] for e in CORPUS])
-def test_report_matches_the_recorded_digest(capsys, monkeypatch, entry):
-    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    monkeypatch.chdir(ROOT)  # file arguments are paths from the repository root
-    code = main(list(entry["argv"]))
-    out = capsys.readouterr().out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (entry["exit"], entry["digest"])
+def test_report_matches_the_recorded_digest(entry):
+    assert record_reports.replay(entry["argv"]) == (entry["exit"], entry["digest"])

@@ -1,7 +1,7 @@
 """Which statements of the package no report of the corpus reaches.
 
 Replays every request of tests/report_digests.json in-process through
-`delpezzo.cli.main`, as tests/test_report_corpus.py does (COLUMNS=80), under
+`record_reports.replay`, as tests/test_report_corpus.py does (COLUMNS=80), under
 `sys.settrace`, and exits 1 on any exit code or digest that differs from the
 recorded one.  The line events in `src/delpezzo` are mapped onto the `ast`
 statements of every function and method body; each statement belongs to its

@@ -192,6 +192,25 @@ MUTANTS = {
         "m = max(self.n, other.n)",
         _CYCLO,
     ),
+    # the one reduction modulo Phi_n
+    "fold-skips-degree-phi": (
+        "exactnum.py",
+        "for k in range(len(out) - 1, phi - 1, -1):",
+        "for k in range(len(out) - 1, phi, -1):",
+        _CYCLO,
+    ),
+    "fold-subtracts-the-tail": (
+        "exactnum.py",
+        "out[k - phi + i] += c * t",
+        "out[k - phi + i] -= c * t",
+        _CYCLO,
+    ),
+    "substitution-truncates-instead-of-folding": (
+        "exactnum.py",
+        "return out if top == size else _fold(out, size, tail)",
+        "return out[:size]",
+        _CYCLO,
+    ),
     # the coefficient parse of `dp1 rationality` and the group labels of `invariants`
     "coefficient-accepts-a-zero-denominator": (
         "cli.py",

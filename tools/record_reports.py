@@ -32,7 +32,9 @@ OUT = ROOT / "tests" / "report_digests.json"
 # a JSON argument given as a file, relative to the repository root, where
 # requests are replayed
 GENERATORS_FILE = "tests/generators_d6.json"
-sys.path.insert(0, str(ROOT / "src"))
+# appended: a package already on PYTHONPATH, such as the mutated copy of
+# tools/mutants.py, is the one replayed
+sys.path.append(str(ROOT / "src"))
 
 
 def _matrices(isos) -> str:
@@ -289,13 +291,6 @@ def requests() -> list[tuple[str, list[str]]]:
         ],
         # every scan is exhaustive, so a budget is an unknown argument (exit 2)
         ("frames-d2-k3-budget7", ["frames", "--degree", "2", "--k", "3", "--budget", "7"]),
-        ("frames-d3-k1-budget36", ["frames", "--degree", "3", "--k", "1", "--budget", "36"]),
-        *[
-            (f"frames-d{d}-k{k}-budget{b}", ["frames", "--degree", str(d), "--k", str(k), "--budget", str(b)])
-            for d, k, b in ((1, 4, 1), (1, 4, 4095), (1, 4, 4096), (1, 4, 4097), (1, 4, 122849),
-                            (1, 5, 113399), (2, 4, 4724))
-        ],
-        ("frames-budget0", ["frames", "--degree", "3", "--k", "1", "--budget", "0"]),
         ("frames-k-too-large", ["frames", "--degree", "3", "--k", "9"]),
         ("frames-d7", ["frames", "--degree", "7", "--k", "1"]),
         ("frames-d7-k2", ["frames", "--degree", "7", "--k", "2"]),
