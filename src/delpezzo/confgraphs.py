@@ -10,6 +10,7 @@ minimal-subgroup lists of the degree-6 classification.
 from __future__ import annotations
 
 from . import colorgraph
+from .exactint import _solve
 from .picard import LatticeClass, PicardLattice, UnsupportedDegree, enumerate_exceptional
 from .weyl import Isometry
 
@@ -120,8 +121,6 @@ def hexagon_sigma_isometry(lat: PicardLattice, pattern: str) -> Isometry:
 
 def vertex_permutation_isometry(lat: PicardLattice, perm: tuple[int, ...]) -> Isometry:
     """Extend a hexagon symmetry to the unique lattice isometry."""
-    from .exactnum import _solve
-
     verts = hexagon_vertex_order(lat)
     # M v_i = v_perm(i) for the first four vertices: row k of M solves
     # sum_j x_j v_i[j] = v_perm(i)[k] for i < 4

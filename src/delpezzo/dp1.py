@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from . import realroots
 from .colorgraph import _orbits
-from .exactnum import _solve
+from .exactint import _pdivmod, _poly_mul, _solve
 from .picard import LatticeClass, PicardLattice, enumerate_exceptional
 
 if TYPE_CHECKING:
@@ -57,8 +57,8 @@ def discriminant(s: DP1Surface) -> BinaryForm:
 
     a, d4 = _integral(s.f4)
     b, d6 = _integral(s.f6)
-    a3 = realroots._poly_mul(realroots._poly_mul(a, a), a)
-    b2 = realroots._poly_mul(b, b)
+    a3 = _poly_mul(_poly_mul(a, a), a)
+    b2 = _poly_mul(b, b)
     u, v = 4 * d6**2, 27 * d4**3
     den = d4**3 * d6**2
     return BinaryForm.from_rational([Fraction(u * x + v * y, den) for x, y in zip(a3, b2)])
@@ -107,7 +107,7 @@ def classify_fibers(s: DP1Surface) -> list[FiberReport]:
     residual = disc
     if len(cusp) > 1:
         for _ in range(2):
-            q, r, _ = realroots._pdivmod(residual, cusp)
+            q, r, _ = _pdivmod(residual, cusp)
             # f4 and f6 vanish at each cusp root, so 4 f4^3 + 27 f6^2 does to order >= 2
             if r:
                 raise ArithmeticError("cusp^2 leaves a remainder in the discriminant")

@@ -230,7 +230,7 @@ _Q31_BASIS = (
 
 def dp4_matrix_geometric(el: DP4Element, with_sigma: bool = False) -> tuple[tuple[int, ...], ...]:
     """Matrix of el on Q_{3,1}(0,2) in the basis (F, Fbar, E_p, E_pbar, E_q, E_qbar)."""
-    from .exactnum import _solve
+    from .exactint import _solve
 
     m = dp4_matrix(el, REAL_FORMS["q31_02"], with_sigma)
     t = _Q31_BASIS

@@ -1,15 +1,10 @@
-"""Exact arithmetic over big rationals and cyclotomic fields Q(zeta_n), and
-the package's one exact linear-algebra layer.
+"""Exact arithmetic over big rationals and cyclotomic fields Q(zeta_n).
 
 Every value is immutable.  A :class:`CycloNum` is stored as an integer
 numerator vector over one positive denominator, in lowest terms, for the
 canonical residue modulo the n-th cyclotomic polynomial, so equality of field
 elements is literal equality of (numerators, denominator) at the same
 conductor.  Complex conjugation is the ring map zeta -> zeta^(n-1).
-
-Integer and rational linear systems, here and in the lattice modules, go
-through fraction-free integer elimination (`_echelon`, after Bareiss 1968)
-and the exact solver built on it (`_solve`); no floating point is involved.
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add as _add
 
-from .realroots import _pdivmod, _poly_mul
+from .exactint import _pdivmod, _poly_mul, _solve
 
 
 @lru_cache(maxsize=None)
@@ -327,51 +322,6 @@ def _descend(x: CycloNum, d: int) -> CycloNum | None:
     if sol is None:
         return None
     return CycloNum(d, [c / x.den for c in sol[0]])
-
-
-def _echelon(rows) -> tuple[list[list[int]], list[int]]:
-    """Nonzero echelon rows of an integer matrix and their pivot columns.
-
-    Fraction-free elimination (Bareiss 1968): each step divides by the
-    previous pivot exactly, so the entries stay minors of the input and
-    never leave the integers.
-    """
-    rows = [list(r) for r in rows]
-    pivots = []
-    prev = 1
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top, p = rows[r], rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
-        prev = p
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return rows[: len(pivots)], pivots
-
-
-def _solve(mat, rhs_columns) -> list[list[Fraction]] | None:
-    """One exact solution x of mat x = b per column b, free unknowns 0.
-
-    None when any of the systems is inconsistent.
-    """
-    ncols = len(mat[0])
-    rows, pivots = _echelon([list(r) + [b[i] for b in rhs_columns] for i, r in enumerate(mat)])
-    if pivots and pivots[-1] >= ncols:
-        return None
-    sols = []
-    for k in range(ncols, ncols + len(rhs_columns)):
-        x = [Fraction(0)] * ncols
-        for row, c in zip(reversed(rows), reversed(pivots)):
-            x[c] = (row[k] - sum(row[j] * x[j] for j in range(c + 1, ncols))) / Fraction(row[c])
-        sols.append(x)
-    return sols
 
 
 # ---------------------------------------------------------------------------

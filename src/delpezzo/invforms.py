@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .exactnum import CycloNum, cyclo_make
-from .explicitlines import mat_rank
 
 _ZERO = CycloNum.rational(0)
 _ONE = CycloNum.rational(1)
@@ -222,14 +221,10 @@ def _rref_rational(rows: list[list[CycloNum]]) -> list[list[Fraction]]:
 
 
 def _integral_primitive(row: list[Fraction]) -> list[int]:
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in row))
     ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return [v // (g or 1) for v in ints]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
 
 
 def invariant_subspace(g: PointGroup2D, k: int) -> list[BinaryForm]:
@@ -252,6 +247,8 @@ def invariant_subspace(g: PointGroup2D, k: int) -> list[BinaryForm]:
 
 def in_span(f: BinaryForm, basis: list[BinaryForm]) -> bool:
     """Exact membership of a form in the rational span of a basis."""
+    from .explicitlines import mat_rank  # a test oracle: no request loads explicitlines for it
+
     if not basis:
         return f.is_zero()
     rows = [list(b.coeffs) for b in basis] + [list(f.coeffs)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .colorgraph import _orbits
-from .exactnum import _echelon
+from .exactint import _echelon
 from .picard import LatticeClass, enumerate_exceptional
 from .weyl import Isometry, IsometryGroup
 

@@ -8,9 +8,10 @@ in that form, as int tuples (`poly_gcd`, `squarefree_part`).  Isolation
 returns disjoint rational intervals, each containing exactly one real root
 (endpoints are never roots; exact rational roots get degenerate intervals).
 
-Division, gcd and Sturm chains use sign-preserving pseudo-remainders with
-the content divided out at each step (the primitive PRS of Collins, 1967),
-and the sign at x = a/b (b > 0) is the sign of b^d p(a/b), an integer.
+Division, gcd and Sturm chains use sign-preserving pseudo-remainders
+(`exactint._pdivmod`) with the content divided out at each step (the
+primitive PRS of Collins, 1967), and the sign at x = a/b (b > 0) is the
+sign of b^d p(a/b), an integer.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+from .exactint import _pdivmod
 
 
 # the two helpers below and count_real_roots have no caller in the package;
@@ -54,46 +57,6 @@ def _reduce(p: list[int]) -> tuple[int, ...]:
 
 def _deriv(p) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
-
-
-def _poly_mul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _pdivmod(a, b) -> tuple[list[int], list[int], int]:
-    """(q, r, m) with m*a == q*b + r, an integer m > 0 and deg r < deg b.
-
-    Each step scales the running remainder by lead(b)/g (g the gcd with the
-    coefficient being cancelled), negated if need be so that m stays
-    positive: r is then a positive multiple of the remainder over Q."""
-    db = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    q = [0] * max(0, len(a) - db)
-    m = 1
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = r.pop()
-        if not c:
-            continue
-        g = gcd(c, lead)
-        s, t = lead // g, c // g  # s*c == t*lead
-        if s < 0:
-            s, t = -s, -t
-        if s != 1:
-            m *= s
-            r = [s * x for x in r]
-            q = [s * x for x in q]
-        q[k] = t
-        for j in range(db):
-            r[k + j] -= t * b[j]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r, m
 
 
 def _gcd(a, b) -> tuple[int, ...]:

@@ -324,7 +324,7 @@ def element_order(g: Isometry) -> int:
 def fingerprint(lat: PicardLattice, g: Isometry) -> ElementFingerprint:
     """Trace/charpoly on the orthogonal complement of K, order, fixed lines
     and (degree 3) fixed tritangent trios, read off the line permutation."""
-    from .realroots import _pdivmod
+    from .exactint import _pdivmod
 
     full = _charpoly_int(g.matrix)
     kperp, r, _ = _pdivmod(full, (-1, 1))  # K contributes the eigenvalue-1 factor
@@ -500,7 +500,7 @@ _NAMED = {
 # ascending coefficients of the characteristic polynomial on the complement
 # of K.  (A_3xA_1)' and (A_3xA_1)'' share every datum the tables provide.
 def _poly_from_factors(*factors):
-    from .realroots import _poly_mul
+    from .exactint import _poly_mul
 
     return tuple(reduce(_poly_mul, factors, (1,)))
 

@@ -505,21 +505,23 @@ def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
 
 
 # what a fresh process loads for each request of the `tables` workload,
-# besides delpezzo and delpezzo.cli: package modules, and numpy, inspect and
-# dataclasses when loaded (no request loads any of the three)
-_SCAN = "_kernels colorgraph picard realroots tables weyl"
+# besides delpezzo and delpezzo.cli: package modules, and numpy, inspect,
+# dataclasses and fractions when loaded (no request loads any of the first
+# three, and only the requests that solve a linear system or read Fractions
+# load fractions)
+_SCAN = "_kernels colorgraph exactint picard tables weyl"
 TABLE_REQUEST_MODULES = {
     "table --id 1": "colorgraph picard tables weyl",
-    "table --id 2": "colorgraph confgraphs exactnum minimality picard realroots tables weyl",
+    "table --id 2": "colorgraph confgraphs exactint fractions minimality picard tables weyl",
     "table --id 3": _SCAN,
     "table --id 4": _SCAN + " dp4",
-    "table --id 5": "colorgraph exactnum explicitlines realroots tables",
+    "table --id 5": "colorgraph exactint exactnum explicitlines fractions tables",
     "table --id 6": _SCAN,
     "table --id 7": _SCAN,
-    "dp1 star --reference": "colorgraph dp1 exactnum picard realroots weyl",
+    "dp1 star --reference": "colorgraph dp1 exactint fractions picard realroots weyl",
     "dp4 --form q31-0-2 --enumerate-minimal": "dp4 picard",
     "dp4 --form p2-1-2 --enumerate-minimal": "dp4 picard",
-    "graph --degree 6 --sigma fig_a": "colorgraph confgraphs exactnum picard realroots weyl",
+    "graph --degree 6 --sigma fig_a": "colorgraph confgraphs exactint fractions picard weyl",
 }
 
 
@@ -527,9 +529,11 @@ def test_subcommands_import_only_what_they_use():
     """The CLI starts without numpy; `lattice`, tables 1, 2 and 5, the dp4
     requests, `dp1 rationality`, `minimal`, `dp1 star`, `graph` and
     `classify-involution` run without it; a dp4 rank never loads the
-    Weyl-group layer; tables 1 and 7, which need only the Weyl-group layer
-    and the frame scan, load no cyclotomic arithmetic; and each `tables`
-    request, in a fresh process, loads exactly its TABLE_REQUEST_MODULES."""
+    Weyl-group layer; tables 1 and 7, `frames` and `classify-involution`,
+    which need only the Weyl-group layer and the frame scan, load neither
+    the cyclotomic field, the Sturm module nor fractions; `invariants` loads
+    no line geometry; and each `tables` request, in a fresh process, loads
+    exactly its TABLE_REQUEST_MODULES."""
     from delpezzo.picard import PicardLattice
     from delpezzo.weyl import minus_on_kperp
 
@@ -577,16 +581,26 @@ def test_subcommands_import_only_what_they_use():
     after_weyl = json.loads(last)
     assert "numpy" not in after_weyl and "delpezzo._kernels" not in after_weyl
     assert {"delpezzo.weyl", "delpezzo.minimality", "delpezzo.confgraphs"} <= set(after_weyl)
+    lattice_requests = [
+        ["table", "--id", "1"],
+        ["table", "--id", "7"],
+        ["frames", "--degree", "3", "--k", "2"],
+        ["classify-involution", "--degree", "3", "--roots", "[[0,1,-1,0,0,0,0]]"],
+    ]
     out = _child(
         "import contextlib, io, json, sys\n"
         "import delpezzo.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['table', '--id', '1']), cli.main(['table', '--id', '7'])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('delpezzo'))]))\n"
+        f"    codes = [cli.main(argv) for argv in {lattice_requests!r}]\n"
+        "    seen = [sorted(sys.modules)]\n"
+        "    codes.append(cli.main(['invariants', '--group', 'z4', '--degree', '4']))\n"
+        "print(json.dumps([codes, seen + [sorted(sys.modules)]]))\n"
     )
-    codes, after_tables = json.loads(out)
-    assert codes == [0, 0]
-    assert "delpezzo.exactnum" not in after_tables and {"delpezzo.weyl", "delpezzo._kernels"} <= set(after_tables)
+    codes, (after_tables, after_invariants) = json.loads(out)
+    assert codes == [0] * (len(lattice_requests) + 1)
+    assert not {"delpezzo.exactnum", "delpezzo.realroots", "fractions"} & set(after_tables)
+    assert {"delpezzo.weyl", "delpezzo._kernels", "delpezzo.exactint"} <= set(after_tables)
+    assert "delpezzo.explicitlines" not in after_invariants and "delpezzo.invforms" in after_invariants
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import TABLE_REQUESTS
 
@@ -597,7 +611,7 @@ def test_subcommands_import_only_what_they_use():
             "import delpezzo.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = cli.main({request.split()!r})\n"
-            "watched = ('numpy', 'inspect', 'dataclasses')\n"
+            "watched = ('numpy', 'inspect', 'dataclasses', 'fractions')\n"
             "print(json.dumps([code, [m for m in sys.modules if m.startswith('delpezzo.') or m in watched]]))\n"
         )
         code, loaded = json.loads(out)

@@ -5,10 +5,9 @@ from math import gcd, lcm
 
 import pytest
 
+from delpezzo.exactint import _echelon, _solve
 from delpezzo.exactnum import (
     CycloNum,
-    _echelon,
-    _solve,
     conj,
     cyclo_make,
     cyclotomic_poly,

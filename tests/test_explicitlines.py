@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from delpezzo import colorgraph
-from delpezzo.exactnum import CycloNum, _solve, cyclo_make
+from delpezzo.exactint import _solve
+from delpezzo.exactnum import CycloNum, cyclo_make
 from delpezzo.explicitlines import (
     CLEBSCH_TWISTS,
     FERMAT_TWISTS,
@@ -28,9 +29,10 @@ from delpezzo.explicitlines import (
     incidence_graph,
     tritangent_triples,
 )
+from delpezzo.minimality import find_contractible_set, invariant_rank
 from delpezzo.picard import PicardLattice, enumerate_exceptional, incidence_matrix
 from delpezzo.tables import CUBIC_REAL_PAIRS
-from delpezzo.weyl import Isometry, fingerprint
+from delpezzo.weyl import Isometry, close_group, element_order, fingerprint, minus_on_kperp
 
 PARAMS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 5)]
 
@@ -237,6 +239,23 @@ def test_coordinate_lattice_isomorphism_deg2():
     assert np.array_equal(perm @ cm @ perm.T, lattice_cm)
 
 
+def _line_isometry(lat, classes, iso, lines, move):
+    """The isometry M with M c(iso[i]) = c(iso[images[i]]), where a model's
+    line i has the class c(iso[i]) and `move` takes it to line images[i]; M
+    must be integral and permute the classes accordingly."""
+    moved = [move(line) for line in lines]
+    images = [next(j for j, other in enumerate(lines) if other.same_line(m)) for m in moved]
+    # rows of M solve A x = b, A's rows the classes of the lines and b a
+    # coordinate of their images
+    a = [classes[iso[i]].coords for i in range(len(images))]
+    b = [classes[iso[j]].coords for j in images]
+    rows = _solve(a, [[row[k] for row in b] for k in range(lat.rank)])
+    assert rows is not None and all(x.denominator == 1 for row in rows for x in row)
+    g = Isometry(lat, [[int(x) for x in row] for row in rows])
+    assert g.permutation(classes) == tuple(iso[images[iso.index(c)]] for c in range(len(classes)))
+    return g
+
+
 def test_cubic_twists_are_lattice_involutions_with_table_3_counts():
     """Each twist of either cubic permutes the lines labelled by exceptional
     classes; that permutation is an isometry of the Picard lattice, and its
@@ -250,17 +269,33 @@ def test_cubic_twists_are_lattice_involutions_with_table_3_counts():
         iso = colorgraph.isomorphism(incidence_graph(lines), ["v"] * 27, lattice_cm, ["v"] * 27)
         for name in names:
             rs = twist(name)
-            images = [next(j for j, other in enumerate(lines) if other.same_line(rs.apply_line(line))) for line in lines]
-            # the isometry M with M c(iso[i]) = c(iso[images[i]]): rows of M solve
-            # A x = b, A's rows the classes of the lines and b a coordinate of their images
-            a = [classes[iso[i]].coords for i in range(27)]
-            b = [classes[iso[j]].coords for j in images]
-            rows = _solve(a, [[row[k] for row in b] for k in range(lat.rank)])
-            assert rows is not None and all(x.denominator == 1 for row in rows for x in row)
-            g = Isometry(lat, [[int(x) for x in row] for row in rows])
-            assert g.permutation(classes) == tuple(iso[images[iso.index(c)]] for c in range(27))
+            g = _line_isometry(lat, classes, iso, lines, rs.apply_line)
             fp = fingerprint(lat, g)
             pair = (fp.fixed_line_count, fp.fixed_trio_count)
             assert pair == (count_real_lines(lines, rs), count_real_tritangents(lines, rs)), (name, pair)
             pairs.add(pair)
     assert sorted(pairs) == sorted(row["pair"] for row in CUBIC_REAL_PAIRS)
+
+
+def test_dp2_example_symmetries_are_lattice_isometries():
+    """The 56 lines of the degree-2 example, labelled by exceptional classes:
+    for either sign on w, the rotation is an isometry of order 4 and the
+    conjugation an involution fixing the 8 real lines; the Geiser involution
+    is -1 on the complement of K; the group they generate has order 8 and
+    invariant Picard rank 2, and no invariant set of disjoint lines (the
+    lattice form of the report's empty `disjoint_real_orbits`)."""
+    lat = PicardLattice(2)
+    classes = enumerate_exceptional(lat)
+    lattice_cm = [[max(x, 0) for x in row] for row in incidence_matrix(lat, classes)]
+    lines = dp2_example_lines()
+    iso = colorgraph.isomorphism(dp2_incidence_matrix(lines), ["v"] * 56, lattice_cm, ["v"] * 56)
+    sigma = _line_isometry(lat, classes, iso, lines, dp2_conjugate)
+    assert element_order(sigma) == 2 and fingerprint(lat, sigma).fixed_line_count == 8
+    geiser = _line_isometry(lat, classes, iso, lines, dp2_geiser)
+    assert geiser.permutation(classes) == minus_on_kperp(lat).permutation(classes)
+    for w_sign in (1, -1):
+        rho = _line_isometry(lat, classes, iso, lines, lambda line: dp2_rotation(line, w_sign))
+        assert element_order(rho) == 4, w_sign
+        group = close_group(lat, [rho, sigma])
+        assert group.order == 8 and invariant_rank(group) == 2, w_sign
+        assert find_contractible_set(group) is None, w_sign

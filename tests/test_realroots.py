@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from delpezzo import realroots
+from delpezzo.exactint import _pdivmod
 from delpezzo.realroots import (
     count_real_roots,
     is_squarefree,
@@ -311,7 +312,7 @@ def test_division_and_gcd_match_fraction_oracle():
         d = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
         d[-1] = d[-1] or Fraction(-2, 3)
         a, b = realroots._primitive(p), realroots._primitive(d)
-        q, r, m = realroots._pdivmod(a, b)
+        q, r, m = _pdivmod(a, b)
         assert m > 0 and ([Fraction(c, m) for c in q], [Fraction(c, m) for c in r]) == _ref_divmod(a, b), (kind, p, d)
         for x, y in ((p, d), (p, _ref_deriv(_ref_trim(p)))):
             g = poly_gcd(x, y)

@@ -11,8 +11,9 @@ any mutant, the named tests run once on an unmutated copy and must pass.
 
 Exits 1 when a mutant survives, when a snippet is not found exactly once in
 its file (a change that rewrites mutated code rewrites its mutant too), or
-when the unmutated run fails; 0 when every mutant is killed.  One mutant
-runs at a time.  Run from the repository root:
+when the unmutated run fails; 0 when every mutant is killed.  The mutants
+run on os.cpu_count() worker threads, each in its own temporary copy, and
+are reported in the order of MUTANTS.  Run from the repository root:
 
     python3 tools/mutants.py
 """
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -255,6 +257,13 @@ MUTANTS = {
         "other.sign == self.sign",
         ("tests/test_dp4.py::test_elements_are_immutable_values",),
     ),
+    # fraction-free elimination, shared by the lattice modules and the cyclotomic field
+    "bareiss-divides-by-the-current-pivot": (
+        "exactint.py",
+        "rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]",
+        "rows[i] = [(p * a - f * b) // p for a, b in zip(rows[i], top)]",
+        ("tests/test_exactnum.py::test_echelon_and_solve_match_fraction_oracle",),
+    ),
     # Sturm bisection
     "halve-keeps-the-wrong-half": (
         "realroots.py",
@@ -327,6 +336,15 @@ def _copy(tmp: str, mutant=None) -> Path:
     return src
 
 
+def _run_mutant(mutant) -> tuple[str, str, float]:
+    """run_tests on a copy with the mutant (file, snippet, replacement, tests) applied, and its wall time."""
+    file, snippet, replacement, named = mutant
+    t0 = time.monotonic()
+    with tempfile.TemporaryDirectory() as tmp:
+        status, detail = run_tests(_copy(tmp, (file, snippet, replacement)), named)
+    return status, detail, time.monotonic() - t0
+
+
 def main() -> int:
     gone = missing(MUTANTS)
     for name in gone:
@@ -341,14 +359,12 @@ def main() -> int:
         print(f"mutants: the named tests do not pass on the unmutated code ({status}: {detail})")
         return 1
     survivors = errors = 0
-    for name, (file, snippet, replacement, named) in MUTANTS.items():
-        t0 = time.monotonic()
-        with tempfile.TemporaryDirectory() as tmp:
-            status, detail = run_tests(_copy(tmp, (file, snippet, replacement)), named)
-        survivors += status == "passed"
-        errors += status == "error"
-        verdict = {"failed": "killed", "timeout": "killed", "passed": "SURVIVED", "error": "ERROR"}[status]
-        print(f"{verdict:8} {name} ({time.monotonic() - t0:.1f} s): {detail}", flush=True)
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for name, (status, detail, seconds) in zip(MUTANTS, pool.map(_run_mutant, MUTANTS.values())):
+            survivors += status == "passed"
+            errors += status == "error"
+            verdict = {"failed": "killed", "timeout": "killed", "passed": "SURVIVED", "error": "ERROR"}[status]
+            print(f"{verdict:8} {name} ({seconds:.1f} s): {detail}", flush=True)
     print(f"mutants: {len(MUTANTS) - survivors - errors} of {len(MUTANTS)} killed in {time.monotonic() - start:.0f} s")
     return 1 if survivors or errors else 0
 
