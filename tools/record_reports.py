@@ -255,6 +255,29 @@ LITERAL_CASES = [
     ],
 ]
 
+# (name, argv): spellings next to a well-formed argv.  argparse reads a
+# prefix of a flag name, any int() spelling of an int (non-ASCII digits,
+# signs, blanks, underscores), the last of a repeated flag, `--flag=` as an
+# empty value and a separate value that starts with `-` when it reads as a
+# negative number; it refuses `--flag=value` on a flag that takes none, an
+# int of more digits than int() reads, a value that reads as an option, a
+# missing value and a flag after `--`, and answers `-h` after other flags
+NEAR_MISSES = [
+    ("flag-prefix", ["lattice", "--deg", "3", "--what", "lines"]),
+    ("non-ascii-digit", ["frames", "--degree", "3", "--k=٣"]),
+    ("int-plus-sign", ["table", "--id", "+8"]),
+    ("int-blank", ["table", "--id", " 0"]),
+    ("int-underscore", ["table", "--id", "1_0"]),
+    ("int-5000-digits", ["table", "--id", "1" * 5000]),
+    ("repeated-flag", ["table", "--id", "1", "--id", "0"]),
+    ("empty-value", ["graph", "--degree", "6", "--sigma="]),
+    ("separate-value-like-an-option", ["dp1", "rationality", "--f4", "-1,0,0,0,1", "--f6=1,0,0,0,0,0,1"]),
+    ("store-true-with-a-value", ["graph", "--degree", "6", "--sigma", "fig_a", "--dot=1"]),
+    ("missing-value", ["table", "--id"]),
+    ("double-dash", ["table", "--", "--id", "1"]),
+    ("help-after-flags", ["table", "--id", "1", "-h"]),
+]
+
 HELP = [
     [name, "-h"]
     for name in ("lattice", "frames", "classify-involution", "minimal", "graph", "dp4", "cubic",
@@ -373,6 +396,7 @@ def requests() -> list[tuple[str, list[str]]]:
         *[(f"table-{n}", ["table", "--id", str(n)]) for n in range(1, 8)],
         ("table-0", ["table", "--id", "0"]),
         ("table-8", ["table", "--id", "8"]),
+        *[(f"near-miss-{name}", argv) for name, argv in NEAR_MISSES],
         *_malformed_requests(),
     ]
     names = [name for name, _ in out]
