@@ -6,19 +6,24 @@ when all embedded checks pass, 1 otherwise, and 2 on usage errors.
 
 The subcommands are one declarative spec, `_SUBCOMMANDS`: name, help and
 arguments (or nested leaves, for `dp1`); the handler of `a b` is `cmd_a_b`.
-A request pays only for its subcommand: `build_parser` adds just the
-subcommand (and leaf) that argv names, and each handler imports the
-modules it uses when it runs, so `import delpezzo.cli` loads no other
-package module and no `fractions`.  `table --id N` runs
-`tables._TABLES[N]`, which lives beside the expected values it checks.
+A well-formed argv is read straight from that spec (`_read`): exact
+subcommand and flag names, `--flag value` or `--flag=value`, bare
+`store_true` flags, ints in ASCII digits, choices, defaults and required
+flags.  argparse is imported and built only for an argv the reader
+declines, to print its help or refuse it with today's usage and error
+text, and then for just the subcommand (and leaf) that argv names.  Each
+handler imports the modules it uses when it runs, so `import delpezzo.cli`
+loads no other package module, no `fractions` and no `argparse`.
+`table --id N` runs `tables._TABLES[N]`, which lives beside the expected
+values it checks.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 SCHEMA_VERSION = "1"
 
@@ -464,8 +469,86 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for argv.
+def build_parser(argv=None) -> _Parser:
+    """The parser for argv: a well-formed argv is read without argparse."""
+    return _Parser(list(argv or ()))
+
+
+class _Parser:
+    """`parse_args` gives the namespace `_read` reads from argv; an argv it
+    declines goes to the argparse tree of the argv build_parser was given."""
+
+    __slots__ = ("argv",)
+
+    def __init__(self, argv):
+        self.argv = argv
+
+    def parse_args(self, argv=None):
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _read(argv)
+        return _argparse_parser(self.argv).parse_args(argv) if args is None else args
+
+
+def _read(argv):
+    """argparse's namespace for a well-formed argv, read from _SUBCOMMANDS,
+    or None for any other argv.
+
+    Well-formed: the subcommand and, under `dp1`, the leaf; then flags by
+    their exact names, each as `--flag value` or `--flag=value`, or bare for
+    a store_true flag; ints in ASCII digits; values among their choices; and
+    every required flag.  Everything else is declined: -h, --, prefixes of
+    flag names, positionals, `=` on a store_true flag, and a separate value
+    that starts with `-`, which argparse takes as an option unless it reads
+    as a negative number.  argparse refuses these, answers them with help,
+    or reads them its own way (a prefix, `int(" 1")`), which the reader does
+    not copy.
+    """
+    args = {}
+    spec, path = _SUBCOMMANDS, ()
+    while isinstance(spec, dict):
+        if not argv or argv[0] not in spec:
+            return None
+        args["_".join(path + ("command",))] = argv[0]
+        path += (argv[0],)
+        spec, argv = spec[argv[0]][1], argv[1:]
+    flags = dict(spec)
+    for flag, kwargs in spec:
+        args[flag[2:].replace("-", "_")] = kwargs.get("default", False if "action" in kwargs else None)
+    given = set()
+    words = iter(argv)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        kwargs = flags.get(flag)
+        if kwargs is None:
+            return None
+        if "action" in kwargs:  # store_true
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(words, "-")  # a missing value declines like an option
+                if value.startswith("-"):
+                    return None
+            if "type" in kwargs:  # int
+                if not (value.isascii() and value.isdigit()):
+                    return None
+                try:
+                    value = int(value)
+                except ValueError:  # more digits than int() reads
+                    return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        args[flag[2:].replace("-", "_")] = value
+        given.add(flag)
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in spec):
+        return None
+    args["func"] = globals()["_".join(("cmd",) + path).replace("-", "_")]
+    return SimpleNamespace(**args)
+
+
+def _argparse_parser(argv=()):
+    """The argparse parser for argv.
 
     When argv names a subcommand (and, under `dp1`, a leaf), only that one
     is built: building all of them costs about as much as a typical
@@ -473,11 +556,13 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     Anything else (no argv, -h, an unknown name) gets the full tree at that
     level, whose usage and error messages list every choice.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="delpezzo",
         description="Exact lattice/group/coordinate computations for real del Pezzo surfaces",
     )
-    _add_subcommands(parser, _SUBCOMMANDS, list(argv or ()), ())
+    _add_subcommands(parser, _SUBCOMMANDS, list(argv), ())
     return parser
 
 

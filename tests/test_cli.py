@@ -473,12 +473,12 @@ def _dp1_leaves(parser):
 
 
 def test_one_subcommand_parser_parses_like_the_full_tree():
-    assert _subcommands(build_parser()) == list(cli._SUBCOMMANDS)
+    assert _subcommands(cli._argparse_parser()) == list(cli._SUBCOMMANDS)
     assert {argv[0] for argv in _VALID_ARGVS} == set(cli._SUBCOMMANDS)
     for argv in _VALID_ARGVS:
-        parser = build_parser(argv)
+        parser = cli._argparse_parser(argv)
         assert _subcommands(parser) == [argv[0]]
-        assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+        assert vars(parser.parse_args(argv)) == vars(cli._argparse_parser().parse_args(argv)), argv
         if argv[0] == "dp1":
             assert _dp1_leaves(parser) == [argv[1]]
 
@@ -492,23 +492,72 @@ def _parse_exit(capsys, parser, argv):
 
 def test_one_subcommand_parser_fails_like_the_full_tree(capsys):
     for argv in _BAD_ARGVS:
-        one = _parse_exit(capsys, build_parser(argv), argv)
-        assert one == _parse_exit(capsys, build_parser(), argv), argv
+        one = _parse_exit(capsys, cli._argparse_parser(argv), argv)
+        assert one == _parse_exit(capsys, cli._argparse_parser(), argv), argv
         assert one[0] == (0 if "-h" in argv else 2) and (one[1] or one[2]), argv
         code, _ = _run(capsys, *argv)
         assert code == one[0], argv
         if argv[:1] == ["dp1"]:
             # the leaf argv names, else every leaf
             named = [a for a in argv[1:2] if a in ("rationality", "star")]
-            assert _dp1_leaves(build_parser(argv)) == (named or ["rationality", "star"]), argv
-    assert _parse_exit(capsys, build_parser(), [])[2].endswith("required: command\n")
+            assert _dp1_leaves(cli._argparse_parser(argv)) == (named or ["rationality", "star"]), argv
+    assert _parse_exit(capsys, cli._argparse_parser(), [])[2].endswith("required: command\n")
+
+
+# (argv, whether the reader reads it): spellings next to a well-formed argv.
+# argparse reads the declined ones too, or refuses them, or answers with help
+_NEAR_MISSES = [
+    (["lattice", "--deg", "3", "--what", "lines"], False),
+    (["frames", "--degree", "3", "--k=٣"], False),
+    (["table", "--id", "+1"], False),
+    (["table", "--id", " 1"], False),
+    (["table", "--id", "1_0"], False),
+    (["table", "--id", "1" * 5000], False),
+    (["table", "--id", "1", "--id", "2"], True),
+    (["dp2-example", "--w-sign", "-1"], False),
+    (["dp1", "rationality", "--f4", "-1,0,0,0,1", "--f6", "1,0,0,0,0,0,1"], False),
+    (["graph", "--degree", "6", "--sigma", "fig_a", "--dot=1"], False),
+    (["graph", "--degree", "6", "--sigma="], True),
+    (["table", "--"], False),
+    (["table", "--id", "1", "--"], False),
+    (["table", "--id", "1", "-h"], False),
+    (["dp1", "star", "--reference", "-h"], False),
+]
+
+
+def test_the_reader_parses_like_argparse_or_declines(capsys):
+    """Every argv of the corpus, of the three workloads at seed 0, of the
+    tables above and of the near misses gets argparse's namespace from the
+    reader, or is declined; every argv argparse refuses or answers with help
+    is declined, and build_parser then prints what argparse prints."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, pass_requests
+
+    corpus = [e["argv"] for e in json.loads((Path(__file__).parent / "report_digests.json").read_text())]
+    workloads = [argv for w in WORKLOADS for argv in pass_requests(w, 0, 0)]
+    near = [argv for argv, _ in _NEAR_MISSES]
+    for argv in corpus + _VALID_ARGVS + _BAD_ARGVS + workloads + near:
+        try:
+            want = vars(cli._argparse_parser(argv).parse_args(argv))
+        except SystemExit:
+            want = capsys.readouterr()
+        read = cli._read(argv)
+        if isinstance(want, dict):
+            assert read is None or vars(read) == want, argv[:4]
+            assert vars(build_parser(argv).parse_args(argv)) == want, argv[:4]
+        else:
+            assert read is None, argv[:4]
+            assert _parse_exit(capsys, build_parser(argv), argv)[1:] == (want.out, want.err), argv[:4]
+    assert [cli._read(argv) is not None for argv in near] == [accepted for _, accepted in _NEAR_MISSES]
+    # the one workload request that argparse alone reads
+    assert [argv for argv in workloads if cli._read(argv) is None] == [["dp2-example", "--orbits", "--w-sign", "-1"]]
 
 
 # what a fresh process loads for each request of the `tables` workload,
 # besides delpezzo and delpezzo.cli: package modules, and numpy, inspect,
-# dataclasses and fractions when loaded (no request loads any of the first
-# three, and only the requests that solve a linear system or read Fractions
-# load fractions)
+# dataclasses, fractions, argparse and gettext when loaded (no request loads
+# any of the first three or the last two, and only the requests that solve a
+# linear system or read Fractions load fractions)
 _SCAN = "_kernels colorgraph exactint picard tables weyl"
 TABLE_REQUEST_MODULES = {
     "table --id 1": "colorgraph picard tables weyl",
@@ -528,7 +577,8 @@ TABLE_REQUEST_MODULES = {
 def test_subcommands_import_only_what_they_use():
     """The CLI starts without numpy; `lattice`, tables 1, 2 and 5, the dp4
     requests, `dp1 rationality`, `minimal`, `dp1 star`, `graph` and
-    `classify-involution` run without it; a dp4 rank never loads the
+    `classify-involution` run without it; `import delpezzo.cli` loads no
+    argparse or gettext; a dp4 rank never loads the
     Weyl-group layer; tables 1 and 7, `frames` and `classify-involution`,
     which need only the Weyl-group layer and the frame scan, load neither
     the cyclotomic field, the Sturm module nor fractions; `invariants` loads
@@ -550,7 +600,7 @@ def test_subcommands_import_only_what_they_use():
     out = _child(
         "import contextlib, io, json, sys\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m == 'numpy' or m.startswith('delpezzo'))\n"
+        "    return sorted(m for m in sys.modules if m in ('numpy', 'argparse', 'gettext') or m.startswith('delpezzo'))\n"
         "import delpezzo.cli as cli\n"
         "seen = [loaded()]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -611,7 +661,7 @@ def test_subcommands_import_only_what_they_use():
             "import delpezzo.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = cli.main({request.split()!r})\n"
-            "watched = ('numpy', 'inspect', 'dataclasses', 'fractions')\n"
+            "watched = ('numpy', 'inspect', 'dataclasses', 'fractions', 'argparse', 'gettext')\n"
             "print(json.dumps([code, [m for m in sys.modules if m.startswith('delpezzo.') or m in watched]]))\n"
         )
         code, loaded = json.loads(out)

@@ -36,6 +36,7 @@ TIMEOUT_S = 20
 _CLOSURE = ("tests/test_weyl.py::test_close_group_matches_reference_closure",)
 _CYCLO = ("tests/test_exactnum.py::test_arithmetic_matches_fraction_oracle",)
 _DP4_LAW = ("tests/test_dp4.py::test_code_group_law_matches_the_matrix_homomorphism",)
+_READER = ("tests/test_cli.py::test_the_reader_parses_like_argparse_or_declines",)
 
 MUTANTS = {
     # the base and strong generating set
@@ -231,6 +232,55 @@ MUTANTS = {
         "if not (key[1:].isascii() and key[1:].isdigit()):",
         "if False:",
         ("tests/test_invforms.py::test_group_labels_read_n_in_ascii_digits",),
+    ),
+    # the argv reader: one mutant per rule that lets it read an argv
+    "reader-accepts-a-flag-prefix": (
+        "cli.py",
+        "kwargs = flags.get(flag)",
+        "kwargs = flags.get(flag := next((f for f in flags if f.startswith(flag)), flag))",
+        _READER,
+    ),
+    "reader-skips-the-choices-check": (
+        "cli.py",
+        'if "choices" in kwargs and value not in kwargs["choices"]:',
+        "if False:",
+        _READER,
+    ),
+    "reader-skips-the-required-check": (
+        "cli.py",
+        'if any(kwargs.get("required") and flag not in given for flag, kwargs in spec):',
+        "if False:",
+        _READER,
+    ),
+    "reader-lets-store-true-take-a-value": (
+        "cli.py",
+        "            if eq:\n",
+        "            if False:\n",
+        _READER,
+    ),
+    "reader-takes-a-separate-value-that-starts-with-a-dash": (
+        "cli.py",
+        'if value.startswith("-"):',
+        "if False:",
+        _READER,
+    ),
+    "reader-accepts-non-ascii-digits": (
+        "cli.py",
+        "if not (value.isascii() and value.isdigit()):",
+        "if not value.isdigit():",
+        _READER,
+    ),
+    "reader-accepts-every-int-spelling": (
+        "cli.py",
+        "if not (value.isascii() and value.isdigit()):",
+        "if False:",
+        _READER,
+    ),
+    "reader-reads-an-int-past-the-digit-limit": (
+        "cli.py",
+        "except ValueError:  # more digits than int() reads",
+        "except ZeroDivisionError:",
+        _READER,
     ),
     # the int-code group law of dp4 and its conjugation maps
     "dp4-permutations-composed-in-the-wrong-order": (
