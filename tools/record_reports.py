@@ -257,9 +257,8 @@ LITERAL_CASES = [
 
 # (name, argv): spellings next to a well-formed argv.  argparse reads a
 # prefix of a flag name, any int() spelling of an int (non-ASCII digits,
-# signs, blanks, underscores), the last of a repeated flag, `--flag=` as an
-# empty value and a separate value that starts with `-` when it reads as a
-# negative number; it refuses `--flag=value` on a flag that takes none, an
+# signs, blanks, underscores), the last of a repeated flag and `--flag=`
+# as an empty value; it refuses `--flag=value` on a flag that takes none, an
 # int of more digits than int() reads, a value that reads as an option, a
 # missing value and a flag after `--`, and answers `-h` after other flags
 NEAR_MISSES = [
